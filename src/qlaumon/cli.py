@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import random
 import sys
 import time
 from fractions import Fraction
 
 from .fourd import (AdditiveParams, check_poch_4d, fst_check, k_difference,
-                    k_difference_formula,
-                    ratio_limit_formula)
-from .hamiltonian import (check_borel_moved_triple, check_dynkin_family,
-                          check_form_equivalence, check_pentagon,
-                          cyclic_matrix_factorization_check,
-                          HamiltonianSpec, hamiltonian_op, verify_conjecture)
+                    k_difference_formula)
+from .hamiltonian import (FORMS, check_borel_moved_triple,
+                          check_dynkin_family, check_form_equivalence,
+                          check_pentagon, HamiltonianSpec, hamiltonian_op,
+                          verify_conjecture)
 from .jackson import CocycleSpec, cocycle_rank, expected_rank
 from .nekrasov import (LaumonParams, check_inversion_symmetry,
                        check_poch_sinh_relation, gl1_closed_partition,
@@ -83,7 +82,6 @@ class Report:
             "parameters": self.parameters,
             "checks": self.checks,
             "status": "pass" if self.ok else "fail",
-            "threads": int(os.environ.get("QLAUMON_THREADS", "1")),
         }
         if self.mode == "prime":
             d["prime"] = PRIME
@@ -94,7 +92,11 @@ class Report:
 
     def emit(self, out_path=None):
         if out_path:
-            with open(out_path, "w") as fh:
+            try:
+                fh = open(out_path, "w")
+            except OSError as exc:
+                raise UsageError("cannot write --out file: %s" % exc)
+            with fh:
                 json.dump(self.as_dict(with_timing=False), fh,
                           sort_keys=True, indent=2)
                 fh.write("\n")
@@ -113,9 +115,18 @@ def echo_params(ps):
     }
 
 
+def _sample(seed, N, mode):
+    """sample_params, with a rank the sampler cannot serve as a usage
+    error."""
+    try:
+        return sample_params(seed, N, mode)
+    except RuntimeError as exc:
+        raise UsageError("%s at --n %d" % (exc, N))
+
+
 def _spectral_params(seed, N, mode):
     """Generic spectral data for the bare partition-function surface."""
-    ps = sample_params(seed, N, mode)
+    ps = _sample(seed, N, mode)
     nc = nek_context(ps)
     return LaumonParams(N, nc, list(ps.sqrt_d), list(ps.sqrt_b),
                         list(ps.sqrt_dbar)), ps
@@ -143,9 +154,12 @@ def cmd_verify(args):
     if args.n < 1 or args.degree < 0:
         raise UsageError("need --n >= 1 and --degree >= 0")
     rep = Report("verify", args.seed, args.mode)
-    result = verify_conjecture(args.n, args.degree, args.seed, args.mode,
-                               args.form)
-    ps = sample_params(args.seed, args.n, args.mode)
+    ps = _sample(args.seed, args.n, args.mode)
+    try:
+        result = verify_conjecture(args.n, args.degree, args.seed, args.mode,
+                                   args.form, params=ps)
+    except ValueError as exc:  # a form that does not exist at this rank
+        raise UsageError(str(exc))
     rep.parameters = echo_params(ps)
     rep.payload["defects_by_degree"] = [
         {"degree": d, "bad_coefficients": n} for d, n in result.per_degree]
@@ -157,10 +171,9 @@ def cmd_verify(args):
 def cmd_rmatrix(args):
     if args.n < 1 or args.m_total < 0:
         raise UsageError("need --n >= 1 and --m-total >= 0")
-    import random
     rep = Report("rmatrix", args.seed, args.mode)
     N, M = args.n, args.m_total
-    ps = sample_params(args.seed, N, args.mode)
+    ps = _sample(args.seed, N, args.mode)
     rep.parameters = echo_params(ps)
     ctx = QContext(ps.sqrt_q, ps.field)
     rng = random.Random(("rmatrix", args.seed, N, M).__repr__())
@@ -254,7 +267,6 @@ def _suite_combinatorics(rep, seed, mode, mvec):
 
 
 def _suite_4d(rep, seed, mode):
-    import random
     rng = random.Random(("cli4d", seed).__repr__())
     ok = all(check_poch_4d(rng.randrange(-6, 7), rng.randrange(0, 7),
                            Fraction(rng.randrange(1, 9), rng.randrange(9, 20)))
@@ -275,7 +287,6 @@ def _suite_4d(rep, seed, mode):
 
 
 def _suite_jackson(rep, seed, mode):
-    import random
     rng = random.Random(("clijack", seed).__repr__())
     for (N, M) in ((2, 1), (2, 2), (3, 2)):
         ps = sample_params(seed + N + M, N, mode)
@@ -285,7 +296,7 @@ def _suite_jackson(rep, seed, mode):
             pts = set()
             while len(pts) < M:
                 pts.add(Fraction(rng.randrange(1, 60), rng.randrange(1, 23)))
-            cfgs.append(sorted(pts))
+            cfgs.append([ps.field.of(z) for z in sorted(pts)])
         r, fam = cocycle_rank(spec, cfgs)
         rep.add("cocycle-rank-%d-%d" % (N, M), r == expected_rank(N, M),
                 {"rank": r, "family": fam, "expected": expected_rank(N, M)})
@@ -310,7 +321,12 @@ def cmd_props(args):
     rep = Report("props", args.seed, args.mode)
     rep.parameters = {"suite": args.suite}
     if args.suite == "combinatorics":
-        mvec = tuple(int(x) for x in args.m.split(",")) if args.m else (3, 2, 1)
+        try:
+            mvec = tuple(int(x) for x in args.m.split(",")) if args.m \
+                else (3, 2, 1)
+        except ValueError:
+            raise UsageError("--m needs comma-separated integers, got %r"
+                             % args.m)
         _suite_combinatorics(rep, args.seed, args.mode, mvec)
     else:
         SUITES[args.suite](rep, args.seed, args.mode)
@@ -348,9 +364,7 @@ def build_parser():
                         help="eigenfunction check of the difference equation")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--form", default="normal",
-                    choices=("normal", "simple", "higher", "gl2-symmetric",
-                             "borel-moved"))
+    sp.add_argument("--form", default="normal", choices=FORMS)
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -378,11 +392,11 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         rep = args.fn(args)
+        rep.wall_time_s = round(time.monotonic() - t0, 6)
+        rep.emit(args.out)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    rep.wall_time_s = round(time.monotonic() - t0, 6)
-    rep.emit(args.out)
     return 0 if rep.ok else 1
 
 

@@ -15,12 +15,13 @@ verifies it vanishes.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .partitions import colored_counts, enumerate_tuples, part
 from .scalars import Jet, RATIONAL
-from .series import MultiSeries, normal_ordered_dynamic_op
+from .series import MultiSeries, add_term, normal_ordered_dynamic_op
 
 
 JET_Q = Jet(1, 1)  # q = 1 + h
@@ -124,14 +125,7 @@ def comb_signed(n, k):
     num = 1
     for j in range(k):
         num *= (n - j)
-    return Fraction(num, 1) / Fraction(_fact(k))
-
-
-def _fact(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+    return Fraction(num, factorial(k))
 
 
 def binomial_square_identity(a):
@@ -164,7 +158,6 @@ class AdditiveParams:
         coprime denominators (7, 11, 13, 17) and numerators chosen so no
         linear form with the bounded integer coefficients that occur in
         the bracket exponents can vanish at desk scale."""
-        import random
         rng = random.Random(("4d", seed, N).__repr__())
         num7 = rng.randrange(1, 7) + 7 * rng.randrange(0, 5)
         res11 = rng.sample(range(1, 11), N)
@@ -254,13 +247,7 @@ def laumon_4d(ap, cap):
                 den *= v
                 dcount += c
         assert ncount == dcount, "bracket count imbalance at %r" % (tup,)
-        key = tuple(kvec)
-        prev = out.terms.get(key, Fraction(0))
-        coeff = prev + num / den
-        if coeff:
-            out.terms[key] = coeff
-        elif key in out.terms:
-            del out.terms[key]
+        add_term(out.terms, kvec, num / den)
     return out
 
 

@@ -26,10 +26,11 @@ from fractions import Fraction
 
 from .nekrasov import solution_series
 from .params import sample_params
-from .qfun import QContext, qbinom
+from .qfun import QContext
+from .rmatrix import finite_poch_product, mat_eye, mat_mul
 from .scalars import spow
-from .series import (MultiSeries, Op, compose, diagonal_op,
-                     eq_of_monomial, eq_product_normal_op,
+from .series import (MultiSeries, compose, diagonal_op, eq_of_monomial,
+                     eq_product_normal_op, letter_op,
                      mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
                      op_qexp, op_qexp_big, ops_agree_on_monomials,
                      phi_of_monomial, phi_product_normal_op, qborel_op,
@@ -184,7 +185,6 @@ def _gl2_symmetric_op(spec):
     at a time.  Acts identically to the other forms."""
     ps = spec.params
     ctx = _ctx(ps)
-    f = ps.field
     cap = spec.cap
     s = -spec.scale / ctx.sqrt_q
 
@@ -210,23 +210,10 @@ def _gl2_symmetric_op(spec):
 
 def _half_shift_letter(i, scale, ctx, N):
     """Letter  scale * x_i * q^{(1/2)(theta_{i+1} - theta_{i-1})}."""
-    i = i % N
-    lo = (i - 1) % N
-    hi = (i + 1) % N
-
-    def apply(s):
-        out = MultiSeries(s.N, s.cap, s.field, None, s.laurent)
-        for nu, c in s.terms.items():
-            if sum(nu) + 1 > s.cap:
-                continue
-            k = list(nu)
-            k[i] += 1
-            w = scale * ctx.qpow_half(nu[hi] - nu[lo]) * c
-            if w:
-                out.terms[tuple(k)] = out.terms.get(tuple(k), s.field.zero) + w
-        return out
-
-    return Op(apply)
+    w = [0] * N
+    w[(i + 1) % N] += 1
+    w[(i - 1) % N] -= 1
+    return letter_op(i, w, scale, ctx, N)
 
 
 def moved_borel_expression(ps, cap, which, scales=None):
@@ -251,17 +238,10 @@ def moved_borel_expression(ps, cap, which, scales=None):
         scales = {i: f.one for i in range(N)}
 
     if which == 0:
-        def eq_hat(indices):
-            w, deg = word_op(indices, +1, scales, ctx, N)
-            return op_qexp(w, deg, -f.one, ctx, cap)
-
-        def phi_hat(indices):
-            w, deg = word_op(indices, +1, scales, ctx, N)
-            return op_qexp_big(w, deg, f.one, ctx, cap)
-
-        ops = [eq_hat([j]) for j in range(1, N)]
-        ops += [phi_hat([j]) for j in range(N - 2, 0, -1)]
-        ops += [eq_hat([j]) for j in range(0, N - 1)]
+        spec = HamiltonianSpec(ps, "simple", cap)
+        ops = [_eq_w(spec, [j], +1, scales) for j in range(1, N)]
+        ops += [_phi_w(spec, [j], +1, scales) for j in range(N - 2, 0, -1)]
+        ops += [_eq_w(spec, [j], +1, scales) for j in range(0, N - 1)]
         ops.append(diagonal_op(lambda th: ctx.qpow_half(
             sum(th[i] * (th[i] - th[i - 1]) for i in range(N)))))
         return compose(ops)
@@ -491,27 +471,6 @@ def mass_truncated_params(ps, mvec):
     return ps.with_dbar([spow(ps.sqrt_q, -m) for m in mvec])
 
 
-def _finite_poch_expansion(prefactors, lengths, ctx, N):
-    """Multi-exponent expansion of prod_i (A_i x_i ; q)_{n_i}: yields
-    (xvec, coeff) with coeff = prod_i (-A_i)^{k_i} q^{k_i(k_i-1)/2}
-    qbinom(n_i, k_i)."""
-    out = [((0,) * N, ctx.field.one)]
-    for i in range(N):
-        new = []
-        n = lengths[i]
-        a = prefactors[i]
-        for k in range(n + 1):
-            c = spow(-a, k) * spow(ctx.q, k * (k - 1) // 2) * qbinom(n, k, ctx)
-            if not c:
-                continue
-            for xv, c0 in out:
-                xv2 = list(xv)
-                xv2[i] += k
-                new.append((tuple(xv2), c0 * c))
-        out = new
-    return out
-
-
 def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
     """After dbar_i = q^{-m_i}: support of the solution series satisfies
     theta_i - theta_{i-1} <= m_i, and the terminated normal-ordered
@@ -529,12 +488,12 @@ def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
         lengths = [mvec[i] - nu[i] + nu[i - 1] for i in range(N)]
         prefs = [spow(ctx.q, -mvec[i] + nu[i] - nu[i - 1]) * ps.d(i)
                  for i in range(N)]
-        return _finite_poch_expansion(prefs, lengths, ctx, N)
+        return finite_poch_product(prefs, lengths, ctx)
 
     def rhs_expand(nu):
         lengths = [mvec[i] - nu[i] + nu[i - 1] for i in range(N)]
         prefs = [spow(ctx.q, -mvec[i]) for i in range(N)]
-        return _finite_poch_expansion(prefs, lengths, ctx, N)
+        return finite_poch_product(prefs, lengths, ctx)
 
     spec = HamiltonianSpec(ps, "normal", cap)
     lhs_op = compose([normal_ordered_dynamic_op(lhs_expand),
@@ -546,16 +505,6 @@ def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
 
 
 # -- classical cyclic-matrix factorization -------------------------------------
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_eye(n, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def cyclic_matrix_factorization_check(xs, z, field=None):
@@ -571,39 +520,37 @@ def cyclic_matrix_factorization_check(xs, z, field=None):
     one = Fraction(1) if field is None else field.one
     zero = one - one
 
-    def jac(i, x):
-        m = _mat_eye(n, one, zero)
+    def jac(i, x, m=None):
+        """m + x e_i, in place; J_i(x) = 1 + x e_i by default."""
+        m = m if m is not None else mat_eye(n, one, zero)
         if i == 0:
             m[n - 1][0] = m[n - 1][0] + x * z
         else:
             m[i - 1][i] = m[i - 1][i] + x
         return m
 
-    X = _mat_eye(n, one, zero)
+    X = mat_eye(n, one, zero)
     for i, x in enumerate(xs):
-        if i == 0:
-            X[n - 1][0] = X[n - 1][0] + x * z
-        else:
-            X[i - 1][i] = X[i - 1][i] + x
+        jac(i, x, X)
 
     # g = J_{n-2}(x_{n-2}) ... J_1(x_1); inverse of J_i(x) is J_i(-x)
-    g = _mat_eye(n, one, zero)
-    ginv = _mat_eye(n, one, zero)
+    g = mat_eye(n, one, zero)
+    ginv = mat_eye(n, one, zero)
     for i in range(1, n - 1):
-        g = _mat_mul(jac(i, xs[i]), g)
-        ginv = _mat_mul(ginv, jac(i, -xs[i]))
+        g = mat_mul(jac(i, xs[i]), g)
+        ginv = mat_mul(ginv, jac(i, -xs[i]))
 
     v = one
     for x in xs:
         v = v * x
     if (n - 1) % 2 == 1:
         v = -v
-    dn = _mat_eye(n, one, zero)
+    dn = mat_eye(n, one, zero)
     dn[n - 1][n - 1] = dn[n - 1][n - 1] + v * z
 
-    rhs = _mat_mul(g, jac(0, xs[0]))
-    rhs = _mat_mul(rhs, dn)
-    rhs = _mat_mul(rhs, ginv)
+    rhs = mat_mul(g, jac(0, xs[0]))
+    rhs = mat_mul(rhs, dn)
+    rhs = mat_mul(rhs, ginv)
     for i in range(n - 1, 0, -1):
-        rhs = _mat_mul(rhs, jac(i, xs[i]))
+        rhs = mat_mul(rhs, jac(i, xs[i]))
     return X == rhs

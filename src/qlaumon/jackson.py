@@ -20,8 +20,9 @@ from __future__ import annotations
 from itertools import permutations
 from math import comb
 
-from .rmatrix import compositions
+from .rmatrix import compositions, row_reduce
 from .scalars import spow
+from .series import MultiSeries
 
 
 class CocycleSpec:
@@ -88,16 +89,8 @@ def cocycle_eval(spec, rvec, zs):
         for j in range(i + 1, M):
             if zs[i] == zs[j]:
                 raise ValueError("evaluation points must be distinct")
-    q = spec.q
-    qinv = 1 / q
-    norm = f.one
-    for r in range(spec.N):
-        for j in range(1, rvec[r] + 1):
-            norm = norm * (f.one - spow(qinv, j)) / (f.one - qinv)
-    blocks = []
-    for ell, r in enumerate(rvec):
-        blocks.extend([ell] * r)
-
+    qinv = 1 / spec.q
+    blocks, norm = _blocks_and_norm(spec, rvec)
     total = f.zero
     for perm in permutations(range(M)):
         sgn = _perm_sign(perm)
@@ -108,6 +101,20 @@ def cocycle_eval(spec, rvec, zs):
         term = term * _vandermonde(pz, f, qinv)
         total = total + (term if sgn > 0 else -term)
     return total / (_vandermonde(zs, f) * norm)
+
+
+def _blocks_and_norm(spec, rvec):
+    """The factor index of each slot (the first r_0 slots take f_0, the
+    next r_1 take f_1, ...) and the normalization prod_k [r_k]!."""
+    f = spec.field
+    qinv = 1 / spec.q
+    blocks = []
+    norm = f.one
+    for ell, r in enumerate(rvec):
+        blocks.extend([ell] * r)
+        for j in range(1, r + 1):
+            norm = norm * (f.one - spow(qinv, j)) / (f.one - qinv)
+    return blocks, norm
 
 
 def _perm_sign(perm):
@@ -132,31 +139,11 @@ def cocycle_rank(spec, point_sets):
     configurations (one row per r, one column per configuration)."""
     rvecs = compositions(spec.N, spec.M)
     rows = [[cocycle_eval(spec, r, zs) for zs in point_sets] for r in rvecs]
-    return _rank(rows, spec.field), len(rvecs)
+    return len(row_reduce(rows)[1]), len(rvecs)
 
 
 def expected_rank(N, M):
     return comb(N + M - 1, M)
-
-
-def _rank(rows, field):
-    mat = [row[:] for row in rows]
-    nrow = len(mat)
-    ncol = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncol):
-        piv = next((r for r in range(rank, nrow) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(nrow):
-            if r != rank and mat[r][col]:
-                fac = mat[r][col]
-                mat[r] = [x - fac * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 # -- dense polynomial form (small M): divisibility by the Vandermonde ---------
@@ -169,63 +156,36 @@ def cocycle_poly(spec, rvec):
     leaves a remainder."""
     f = spec.field
     M = spec.M
-    q = spec.q
-    qinv = 1 / q
-    blocks = []
-    for ell, r in enumerate(rvec):
-        blocks.extend([ell] * r)
+    qinv = 1 / spec.q
+    blocks, norm = _blocks_and_norm(spec, rvec)
+    # every product below is homogeneous of this degree, so nothing is cut
+    cap = M * (spec.N - 1) + M * (M - 1) // 2
+    one = (0,) * M
+    unit = [tuple(1 if p == slot else 0 for p in range(M)) for slot in range(M)]
 
-    def poly_mul(a, b):
-        out = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                w = out.get(k, f.zero) + va * vb
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return out
+    def linear(terms):
+        return MultiSeries(M, cap, f, terms)
 
-    def factor_poly(ell, slot):
-        # f_ell(z_slot) as a polynomial
-        out = {(0,) * M: f.one}
-        for k in range(ell + 1, spec.N):
-            lin = {(0,) * M: f.one,
-                   tuple(1 if p == slot else 0 for p in range(M)): -1 / spec.a[k]}
-            out = poly_mul(out, lin)
-        for k in range(ell):
-            lin = {(0,) * M: f.one,
-                   tuple(1 if p == slot else 0 for p in range(M)): -spec.b[k]}
-            out = poly_mul(out, lin)
-        return out
-
-    total = {}
+    total = MultiSeries.zero(M, cap, f)
     for perm in permutations(range(M)):
-        sgn = _perm_sign(perm)
-        term = {(0,) * M: f.one if sgn > 0 else -f.one}
+        term = linear({one: f.one if _perm_sign(perm) > 0 else -f.one})
         for slot, ell in enumerate(blocks):
-            term = poly_mul(term, factor_poly(ell, perm[slot]))
+            z = unit[perm[slot]]
+            for k in range(ell + 1, spec.N):
+                term = term * linear({one: f.one, z: -1 / spec.a[k]})
+            for k in range(ell):
+                term = term * linear({one: f.one, z: -spec.b[k]})
         for i in range(M):
             for j in range(i + 1, M):
-                lin = {tuple(1 if p == perm[i] else 0 for p in range(M)): f.one,
-                       tuple(1 if p == perm[j] else 0 for p in range(M)): -qinv}
-                term = poly_mul(term, lin)
-        for k, v in term.items():
-            w = total.get(k, f.zero) + v
-            if w:
-                total[k] = w
-            elif k in total:
-                del total[k]
+                term = term * linear({unit[perm[i]]: f.one,
+                                      unit[perm[j]]: -qinv})
+        total = total + term
 
+    poly = total.terms
     for i in range(M):
         for j in range(i + 1, M):
-            total = _divide_linear(total, i, j, M, f)
-    norm = f.one
-    for r in range(spec.N):
-        for jj in range(1, rvec[r] + 1):
-            norm = norm * (f.one - spow(qinv, jj)) / (f.one - qinv)
-    return {k: v / norm for k, v in total.items()}
+            poly = _divide_linear(poly, i, j, M, f)
+    return {k: v / norm for k, v in poly.items()}
 
 
 def _divide_linear(poly, i, j, M, field):

@@ -19,7 +19,9 @@ from __future__ import annotations
 from .partitions import (colored_counts, conjugate, enumerate_tuples, part)
 from .qfun import QContext, bracket, bracket_base, single_bracket
 from .scalars import spow
-from .series import (MultiSeries, delta_quadratic, diagonal_op, exp_series)
+from .series import (MultiSeries, add_term, compose, delta_quadratic,
+                     eq_of_monomial, exp_series, mul_op, phi_product_normal_op,
+                     shift_scaling_op)
 
 
 class NekContext:
@@ -218,15 +220,11 @@ def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
         for j in range(1, wl + 1):
             mc = muc[i - 1]
             lc = lamc[j - 1]
-            f_full = _floor_div(mc + k - lc, N)
-            f_lam = _floor_div(k - lc, N)
-            f_mu = _floor_div(mc + k, N)
+            f_full = (mc + k - lc) // N
+            f_lam = (k - lc) // N
+            f_mu = (mc + k) // N
             out = out * cell(i, j, f_full) / (cell(i, j, f_lam) * cell(i, j, f_mu))
     return out
-
-
-def _floor_div(a, n):
-    return a // n
 
 
 # -- partition function ------------------------------------------------------
@@ -241,15 +239,7 @@ def laumon_partition_function(lp, cap, kind="sinh"):
     nc = lp.nc
     out = MultiSeries.zero(N, cap, nc.field)
     for tup in enumerate_tuples(N, cap):
-        kvec = colored_counts(tup, N)
-        coeff = _tuple_weight(lp, tup, kind)
-        key = tuple(kvec)
-        prev = out.terms.get(key)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff:
-            out.terms[key] = coeff
-        elif prev is not None:
-            del out.terms[key]
+        add_term(out.terms, colored_counts(tup, N), _tuple_weight(lp, tup, kind))
     return out
 
 
@@ -335,14 +325,7 @@ def solution_series(ps, cap, extra_scale=None):
     parametrization with the slot scalings folded into the variables."""
     lp = solution_spectral_params(ps)
     z = laumon_partition_function(lp, cap, "sinh")
-    scal = solution_slot_scalings(ps, extra_scale)
-    out = MultiSeries.zero(ps.N, cap, ps.field)
-    for k, v in z.terms.items():
-        f = v
-        for r, e in zip(scal, k):
-            f = f * spow(r, e)
-        out.terms[k] = f
-    return out
+    return shift_scaling_op(solution_slot_scalings(ps, extra_scale), ps.field)(z)
 
 
 # -- rank-one closed forms ----------------------------------------------------
@@ -423,8 +406,6 @@ def _inversion_side(lp, cap):
     theta_{i-1}}) after the diagonal prod_i (d_i/(q dbar_i))^{theta_i/2},
     with d_i = q kappa b_i / a_{i+1} and dbar_i = b_i / c_i.
     """
-    from .series import compose, eq_of_monomial, mul_op, phi_product_normal_op
-
     N = lp.N
     nc = lp.nc
     z = laumon_partition_function(lp, cap, "poch")
@@ -432,8 +413,8 @@ def _inversion_side(lp, cap):
               for i in range(N)]
     sqrt_dbar = [lp.sqrt_b[i] / lp.sqrt_c[i] for i in range(N)]
 
-    half_shift = diagonal_op(lambda th: _prodpow(
-        [sqrt_d[i] / (nc.sqrt_q * sqrt_dbar[i]) for i in range(N)], th, nc.field))
+    half_shift = shift_scaling_op(
+        [sqrt_d[i] / (nc.sqrt_q * sqrt_dbar[i]) for i in range(N)], nc.field)
     dressing_no = phi_product_normal_op(
         [nc.sqrt_q * sqrt_d[i] * sqrt_dbar[i] for i in range(N)], +1, nc.qctx, N, cap)
     cplus = MultiSeries.one(N, cap, nc.field)
@@ -443,13 +424,6 @@ def _inversion_side(lp, cap):
                                        nc.sqrt_q * sqrt_d[i] / sqrt_dbar[i], vec)
     op = compose([mul_op(cplus), dressing_no, half_shift])
     return op(z)
-
-
-def _prodpow(bases, exps, field):
-    out = field.one
-    for b, e in zip(bases, exps):
-        out = out * spow(b, e)
-    return out
 
 
 def check_inversion_symmetry(lp, cap):

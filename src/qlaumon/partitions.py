@@ -11,10 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def is_partition(parts):
-    return all(a >= b for a, b in zip(parts, parts[1:])) and all(p > 0 for p in parts)
-
-
 def part(parts, i):
     """Row i (1-based) of a partition; zero outside 1..len."""
     if 1 <= i <= len(parts):

@@ -113,3 +113,10 @@ def qbinom(n, k, ctx):
     if k < 0 or k > n:
         return ctx.field.zero
     return ctx.qq(n) / (ctx.qq(k) * ctx.qq(n - k))
+
+
+def finite_poch_coeffs(a, n, ctx):
+    """Coefficients c_0..c_n of (a x; q)_n = sum_k c_k x^k:
+    c_k = (-a)^k q^{k(k-1)/2} qbinom(n, k); empty for n < 0."""
+    return [spow(-a, k) * spow(ctx.q, k * (k - 1) // 2) * qbinom(n, k, ctx)
+            for k in range(n + 1)]

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .qfun import poch, qbinom
+from .params import rand_square
+from .qfun import finite_poch_coeffs, poch, qbinom
 from .scalars import spow
+from .series import delta_quadratic, exponent_vectors
 
 
 # -- lattice combinatorics -----------------------------------------------------
@@ -31,17 +33,8 @@ from .scalars import spow
 
 def compositions(N, M):
     """I_M: all N-part compositions of M, lexicographic."""
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            out.append(tuple(prefix) + (budget,))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], N, M)
-    return out
+    return [v + (M - sum(v),)
+            for v in exponent_vectors((0,) * (N - 1), (M,) * (N - 1), M)]
 
 
 def s_of_m(mvec):
@@ -53,30 +46,19 @@ def s_of_m(mvec):
     if N == 1:
         return [()]
     suffix = [sum(mvec[a + 1:]) for a in range(N - 1)]
-    out = []
-
-    def rec(prefix, a, lo):
-        # weakly decreasing shifted coordinates tilde in [0, M]
-        if a == N - 1:
-            out.append(tuple(prefix))
-            return
-        for t in range(lo, -1, -1):
-            rec(prefix + [t], a + 1, min(t, M))
-
     shifted = []
 
-    def rec2(prefix, a):
+    def rec(prefix, a):
+        # weakly decreasing shifted coordinates tilde in [0, M]
         if a == N - 1:
             shifted.append(tuple(prefix))
             return
         hi = M if a == 0 else prefix[-1]
         for t in range(hi, -1, -1):
-            rec2(prefix + [t], a + 1)
+            rec(prefix + [t], a + 1)
 
-    rec2([], 0)
-    for til in shifted:
-        out.append(tuple(til[a] - suffix[a] for a in range(N - 1)))
-    return out
+    rec([], 0)
+    return [tuple(til[a] - suffix[a] for a in range(N - 1)) for til in shifted]
 
 
 def support_to_composition(sigma, mvec):
@@ -168,7 +150,6 @@ def phi_kernel_masslike(ivec_bar, kvec, mus_bar, mu_full, M, ctx):
     n = len(ivec_bar)
     f = ctx.field
     qgam = [spow(ctx.q, -ivec_bar[a] - kvec[a]) / mus_bar[a] for a in range(n)]
-    mu_t = mu_full
     q_abs_gamma = f.one
     for g in qgam:
         q_abs_gamma = q_abs_gamma * g
@@ -181,8 +162,8 @@ def phi_kernel_masslike(ivec_bar, kvec, mus_bar, mu_full, M, ctx):
             out = out * spow(qgam[b], acc)
     # (mu/lam)^{|gamma|} = q^{-M |gamma|}
     out = out * spow(q_abs_gamma, -M)
-    mu_shift = mu_t * q_abs_gamma
-    out = out * poch(mu_shift, ctx.q, M) / poch(mu_t, ctx.q, M)
+    mu_shift = mu_full * q_abs_gamma
+    out = out * poch(mu_shift, ctx.q, M) / poch(mu_full, ctx.q, M)
     si = sum(ivec_bar)
     out = out * poch(spow(ctx.q, -M), ctx.q, si) / poch(mu_shift, ctx.q, si)
     for a in range(n):
@@ -196,13 +177,13 @@ def check_transition(n, bound, ctx, a, b, c, swapped=False):
     the exploratory variant sum Phi(i|j;b,c) Phi(j|k;a,b) is tested
     instead (reported, not required)."""
     bad = []
-    boxes = compositions_box(n, bound)
+    boxes = exponent_vectors((0,) * n, (bound,) * n)
     for kv in boxes:
         for iv in boxes:
             if any(x > y for x, y in zip(iv, kv)):
                 continue
             total = ctx.field.zero
-            for jv in _between(iv, kv):
+            for jv in exponent_vectors(iv, kv):
                 if swapped:
                     total = total + phi_kernel(iv, jv, b, c, ctx) \
                         * phi_kernel(jv, kv, a, b, ctx)
@@ -212,20 +193,6 @@ def check_transition(n, bound, ctx, a, b, c, swapped=False):
             if total != phi_kernel(iv, kv, a, c, ctx):
                 bad.append((iv, kv))
     return bad
-
-
-def compositions_box(n, bound):
-    out = [()]
-    for _ in range(n):
-        out = [t + (e,) for t in out for e in range(bound + 1)]
-    return out
-
-
-def _between(iv, kv):
-    out = [()]
-    for lo, hi in zip(iv, kv):
-        out = [t + (e,) for t in out for e in range(lo, hi + 1)]
-    return out
 
 
 # -- base polynomials and the connection solve --------------------------------
@@ -312,18 +279,14 @@ def connection_matrix(N, M, lam, mus, ctx, residual_points=None):
     b2 = [[base_polynomial(2, i, p, lam, mus, ctx) for p in pts] for i in idx]
     b2p = [[b2_inverse_entry(i, j, lam, M, ctx) for j in idx] for i in idx]
     # closed inverse check (B' B = 1)
+    check = mat_mul(b2p, b2)
+    eye = mat_eye(len(idx), ctx.field.one, ctx.field.zero)
     for a, i in enumerate(idx):
         for cc, k in enumerate(idx):
-            val = ctx.field.zero
-            for bb in range(len(idx)):
-                val = val + b2p[a][bb] * b2[bb][cc]
-            expect = ctx.field.one if a == cc else ctx.field.zero
-            if val != expect:
+            if check[a][cc] != eye[a][cc]:
                 raise ArithmeticError("closed inverse failed at %r, %r" % (i, k))
     b1 = [[base_polynomial(1, i, p, lam, mus, ctx) for p in pts] for i in idx]
-    R = [[sum((b1[a][k] * b2p[k][b] for k in range(1, len(idx))),
-              b1[a][0] * b2p[0][b]) for b in range(len(idx))]
-         for a in range(len(idx))]
+    R = mat_mul(b1, b2p)
     if residual_points:
         for z in residual_points:
             for a, i in enumerate(idx):
@@ -364,7 +327,7 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
         mu_full = mu_full * m
 
     kernel_sum = f.zero
-    for kv in _between((0,) * (N - 1), jbar):
+    for kv in exponent_vectors((0,) * (N - 1), jbar):
         t = phi_kernel(kv, jbar, 1 / lam, spow(ctx.q, -M), ctx)
         if not t:
             continue
@@ -382,10 +345,7 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
             acc += jvec[b - 1] - ivec[b - 1]
             cpre = cpre * spow(sqrt_mus[b], -acc)
 
-    lam_masses = lam
-    for m in mus:
-        lam_masses = lam_masses * m
-    out = cpre * poch(lam_masses, ctx.q, M) \
+    out = cpre * poch(mu_full, ctx.q, M) \
         / poch(lam * spow(ctx.q, -M + 1), ctx.q, M)
     for i, j in zip(ivec, jvec):
         out = out * ctx.qq(i) / ctx.qq(j)
@@ -421,7 +381,7 @@ def b2_triangular_zeros(N, M, lam, ctx):
     pts = [reference_point(k, ctx) for k in idx]
     bad = []
     ones = [ctx.field.one] * N  # kind-2 polynomials carry no masses
-    for a, i in enumerate(idx):
+    for i in idx:
         for b, j in enumerate(idx):
             v = base_polynomial(2, i, pts[b], lam, ones, ctx)
             expect_zero = any(x > y for x, y in zip(i[:-1], j[:-1]))
@@ -433,10 +393,18 @@ def b2_triangular_zeros(N, M, lam, ctx):
 # -- gauge match against the truncated difference-equation matrices -----------
 
 
-def _finite_poch_coeffs(pref, n, ctx):
-    from .qfun import qbinom
-    return [(k, spow(-pref, k) * spow(ctx.q, k * (k - 1) // 2)
-             * qbinom(n, k, ctx)) for k in range(n + 1)]
+def finite_poch_product(prefactors, lengths, ctx):
+    """Expansion of prod_i (A_i x_i ; q)_{n_i}: the pairs (k, coefficient
+    of x^k) over the box 0 <= k_i <= n_i, lexicographic."""
+    coeffs = [finite_poch_coeffs(a, n, ctx)
+              for a, n in zip(prefactors, lengths)]
+    out = []
+    for kv in exponent_vectors((0,) * len(lengths), lengths):
+        c = ctx.field.one
+        for i, k in enumerate(kv):
+            c = c * coeffs[i][k]
+        out.append((kv, c))
+    return out
 
 
 def truncated_equation_matrix(mvec, mus, lam, ctx, side):
@@ -446,9 +414,6 @@ def truncated_equation_matrix(mvec, mus, lam, ctx, side):
     prefactors q^{-m_i+theta'_i} mu_i) or q^{-Delta/2} (plain side,
     prefactors q^{-m_i}).  Wrap-arounds of the exponent lattice carry
     powers of the scalar lam."""
-    import itertools
-    from .series import delta_quadratic
-
     N = len(mvec)
     S = s_of_m(mvec)
     index = {s: a for a, s in enumerate(S)}
@@ -458,40 +423,50 @@ def truncated_equation_matrix(mvec, mus, lam, ctx, side):
         th = tuple(sig) + (0,)
         thp = [th[i] - th[i - 1] for i in range(N)]
         borel = ctx.qpow_half((1 if side == "mass" else -1) * delta_quadratic(th))
-        expansions = []
-        for i in range(N):
-            n_i = mvec[i] - thp[i]
-            pref = spow(ctx.q, -mvec[i] + thp[i]) * mus[i] if side == "mass" \
-                else spow(ctx.q, -mvec[i])
-            expansions.append(_finite_poch_coeffs(pref, n_i, ctx))
-        for kv in itertools.product(*[range(mvec[i] - thp[i] + 1) for i in range(N)]):
-            c = borel
-            for i in range(N):
-                c = c * expansions[i][kv[i]][1]
+        prefs = [spow(ctx.q, -mvec[i] + thp[i]) * mus[i] if side == "mass"
+                 else spow(ctx.q, -mvec[i]) for i in range(N)]
+        lengths = [mvec[i] - thp[i] for i in range(N)]
+        for kv, c in finite_poch_product(prefs, lengths, ctx):
             nt = tuple(th[i] + kv[i] for i in range(N))
             w = nt[N - 1]
             rep = tuple(nt[i] - w for i in range(N - 1))
-            mat[index[rep]][aa] = mat[index[rep]][aa] + c * spow(lam, w)
+            mat[index[rep]][aa] = mat[index[rep]][aa] + borel * c * spow(lam, w)
     return mat, S
+
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination over an exact field: the reduced row
+    echelon form of the matrix and the list of its pivot columns."""
+    mat = [row[:] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = 1 / mat[top][col]
+        mat[top] = [x * inv for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col]:
+                fac = mat[r][col]
+                mat[r] = [x - fac * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
 
 
 def exact_inverse(A, field):
     """Gauss-Jordan inverse over an exact field."""
     n = len(A)
-    M = [row[:] + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                fac = M[r][col]
-                M[r] = [x - fac * y for x, y in zip(M[r], M[col])]
+    M, pivots = row_reduce(
+        [row + e for row, e in zip(A, mat_eye(n, field.one, field.zero))])
+    if pivots[:n] != list(range(n)):
+        raise ArithmeticError("singular matrix")
     return [row[n:] for row in M]
+
+
+def mat_eye(n, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -557,13 +532,12 @@ def _as_q_power(x, ctx, bound):
 def _as_monomial(x, ctx, mus, lam, lam_bound, bound, mass_bound=2):
     """Recognize x as +- q^{e/2} prod mus[a]^{g_a} lam^{h}; returns
     (sign, e, gvec, h) or None, preferring small |h| and |g|."""
-    import itertools
     if not x:
         return None
     cands = []
     for h in range(-lam_bound, lam_bound + 1):
-        for gvec in itertools.product(range(-mass_bound, mass_bound + 1),
-                                      repeat=len(mus)):
+        for gvec in exponent_vectors((-mass_bound,) * len(mus),
+                                     (mass_bound,) * len(mus)):
             cands.append((abs(h) + sum(abs(g) for g in gvec), h, gvec))
     cands.sort()
     for _, h, gvec in cands:
@@ -643,7 +617,6 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
 def draw_mass_data(rng, field, ctx, N, M, max_tries=50):
     """Masses (with square roots) and a free parameter for the connection
     problem, redrawing until none of the explicit pole factors vanish."""
-    from .params import rand_square
     for _ in range(max_tries):
         sqrt_mus, mus = [], []
         for _ in range(N):

@@ -1,19 +1,22 @@
 """Truncated multivariate series and the linear operators acting on them.
 
 A MultiSeries is a sparse map from exponent vectors (tuples of length N,
-total degree <= cap, entries >= 0 unless the Laurent flag is set) to
-scalars.  Every operator here either preserves or raises total degree, so
-coefficients up to the cap are exact: truncation never corrupts the
-retained range.
+entries >= 0, total degree <= cap) to scalars.  Every operator here
+either preserves or raises total degree, so coefficients up to the cap
+are exact: truncation never corrupts the retained range.
 
-Operators come in a few kinds:
+Apart from multiplication by a series, every operator here is one
+``sparse_op``: on x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
+``expand(nu, budget)`` function lists, where budget = cap - |nu| bounds
+|v|, so terms past the cap are never evaluated.  The kinds of expand:
 
-  * multiplication by a series,
   * diagonal operators theta -> scalar (shift scalings, Borel weights),
   * normal-ordered operators: on a monomial x^nu, first evaluate a
     coefficient at the source exponent nu, then multiply by an x-monomial,
-  * twisted letters x_i q^{+-(e_i - e_{i-1}).theta} and words of them,
-  * q-exponentials of words, summed by explicit operator powers.
+  * letters x_i q^{(1/2) w.theta}, among them the twisted letters
+    x_i q^{+-(theta_i - theta_{i-1})}, and words of them.
+
+q-exponentials of words are summed by explicit operator powers.
 
 Indices on letters are cyclic mod N (position 0 plays x_1; "i-1" at i=0
 wraps to N-1).
@@ -21,17 +24,20 @@ wraps to N-1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from math import factorial
+from operator import add, mul
+
 from .scalars import spow
 
 
 class MultiSeries:
-    __slots__ = ("N", "cap", "field", "laurent", "terms")
+    __slots__ = ("N", "cap", "field", "terms")
 
-    def __init__(self, N, cap, field, terms=None, laurent=False):
+    def __init__(self, N, cap, field, terms=None):
         self.N = N
         self.cap = cap
         self.field = field
-        self.laurent = laurent
         self.terms = {}
         if terms:
             for k, v in terms.items():
@@ -41,22 +47,22 @@ class MultiSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(N, cap, field, laurent=False):
-        return MultiSeries(N, cap, field, None, laurent)
+    def zero(N, cap, field):
+        return MultiSeries(N, cap, field)
 
     @staticmethod
-    def one(N, cap, field, laurent=False):
-        return MultiSeries(N, cap, field, {(0,) * N: field.one}, laurent)
+    def one(N, cap, field):
+        return MultiSeries(N, cap, field, {(0,) * N: field.one})
 
     @staticmethod
-    def monomial(N, cap, field, exponent, coeff=None, laurent=False):
+    def monomial(N, cap, field, exponent, coeff=None):
         c = coeff if coeff is not None else field.one
-        return MultiSeries(N, cap, field, {tuple(exponent): c}, laurent)
+        return MultiSeries(N, cap, field, {tuple(exponent): c})
 
     # -- basics ------------------------------------------------------------
 
     def copy(self):
-        s = MultiSeries(self.N, self.cap, self.field, None, self.laurent)
+        s = MultiSeries(self.N, self.cap, self.field)
         s.terms = dict(self.terms)
         return s
 
@@ -73,32 +79,31 @@ class MultiSeries:
     def __add__(self, other):
         out = self.copy()
         for k, v in other.terms.items():
-            _acc(out.terms, k, v)
+            add_term(out.terms, k, v)
         return out
 
     def __sub__(self, other):
         out = self.copy()
         for k, v in other.terms.items():
-            _acc(out.terms, k, -v)
+            add_term(out.terms, k, -v)
         return out
 
     def __neg__(self):
         return self.scale(-self.field.one)
 
     def scale(self, c):
-        out = MultiSeries(self.N, self.cap, self.field, None, self.laurent)
+        out = MultiSeries(self.N, self.cap, self.field)
         if c:
             out.terms = {k: c * v for k, v in self.terms.items()}
         return out
 
     def __mul__(self, other):
-        out = MultiSeries(self.N, self.cap, self.field, None,
-                          self.laurent or other.laurent)
+        out = MultiSeries(self.N, self.cap, self.field)
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 k = tuple(a + b for a, b in zip(ka, kb))
                 if sum(k) <= self.cap:
-                    _acc(out.terms, k, va * vb)
+                    add_term(out.terms, k, va * vb)
         return out
 
     def degrees(self):
@@ -108,16 +113,14 @@ class MultiSeries:
             out.setdefault(sum(k), []).append((k, v))
         return out
 
-    def max_degree_terms(self):
-        return sorted(self.terms)
-
     def __repr__(self):
         items = ", ".join("%s: %s" % (k, v) for k, v in sorted(self.terms.items())[:6])
         more = "" if len(self.terms) <= 6 else ", ..."
         return "MultiSeries({%s%s})" % (items, more)
 
 
-def _acc(d, k, v):
+def add_term(d, k, v):
+    """d[k] += v in a sparse coefficient map, dropping zero entries."""
     w = d.get(k)
     if w is None:
         if v:
@@ -130,31 +133,17 @@ def _acc(d, k, v):
             del d[k]
 
 
-def series_pow(s, n):
-    out = MultiSeries.one(s.N, s.cap, s.field, s.laurent)
-    for _ in range(n):
-        out = out * s
-    return out
-
-
 def exp_series(s):
     """exp of a series with zero constant term, exact to the cap."""
     if s.get((0,) * s.N):
         raise ValueError("exp needs zero constant term")
-    out = MultiSeries.one(s.N, s.cap, s.field, s.laurent)
-    term = MultiSeries.one(s.N, s.cap, s.field, s.laurent)
+    out = MultiSeries.one(s.N, s.cap, s.field)
+    term = MultiSeries.one(s.N, s.cap, s.field)
     for k in range(1, s.cap + 1):
         term = term * s
         if term.is_zero():
             break
-        out = out + term.scale(s.field.one / factorial_int(k))
-    return out
-
-
-def factorial_int(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+        out = out + term.scale(s.field.one / factorial(k))
     return out
 
 
@@ -164,10 +153,10 @@ def series_inverse(s):
     if not c0:
         raise ZeroDivisionError("series has zero constant term")
     ic0 = 1 / c0
-    rest = (s - MultiSeries.monomial(s.N, s.cap, s.field, (0,) * s.N, c0,
-                                     s.laurent)).scale(ic0)
-    out = MultiSeries.one(s.N, s.cap, s.field, s.laurent)
-    power = MultiSeries.one(s.N, s.cap, s.field, s.laurent)
+    rest = (s - MultiSeries.monomial(s.N, s.cap, s.field, (0,) * s.N,
+                                     c0)).scale(ic0)
+    out = MultiSeries.one(s.N, s.cap, s.field)
+    power = MultiSeries.one(s.N, s.cap, s.field)
     sign = -1
     for _ in range(s.cap):
         power = power * rest
@@ -181,34 +170,38 @@ def series_inverse(s):
 # -- q-function series --------------------------------------------------
 
 
-def eq_of_monomial(ctx, N, cap, prefactor, xvec, laurent=False):
-    """e_q(prefactor * x^xvec) = sum_n (pref)^n x^{n.vec} / (q;q)_n."""
+def _eq_coeff(ctx, z, n):
+    """Coefficient of x^n in e_q(z x): z^n / (q;q)_n."""
+    return spow(z, n) / ctx.qq(n)
+
+
+def _phi_coeff(ctx, z, n):
+    """Coefficient of x^n in phi(z x) = 1/e_q(z x):
+    q^{n(n-1)/2} (-z)^n / (q;q)_n."""
+    return spow(ctx.q, n * (n - 1) // 2) * spow(-z, n) / ctx.qq(n)
+
+
+def _qexp_of_monomial(coeff, ctx, N, cap, prefactor, xvec):
     deg = sum(xvec)
     if deg <= 0:
         raise ValueError("argument must have positive total degree")
-    out = MultiSeries.one(N, cap, ctx.field, laurent)
-    p = ctx.field.one
+    out = MultiSeries.one(N, cap, ctx.field)
     for n in range(1, cap // deg + 1):
-        p = p * prefactor
-        out.terms[tuple(n * e for e in xvec)] = p / ctx.qq(n)
+        out.terms[tuple(n * e for e in xvec)] = coeff(ctx, prefactor, n)
     return out
 
 
-def phi_of_monomial(ctx, N, cap, prefactor, xvec, laurent=False):
+def eq_of_monomial(ctx, N, cap, prefactor, xvec):
+    """e_q(prefactor * x^xvec) = sum_n (pref)^n x^{n.vec} / (q;q)_n."""
+    return _qexp_of_monomial(_eq_coeff, ctx, N, cap, prefactor, xvec)
+
+
+def phi_of_monomial(ctx, N, cap, prefactor, xvec):
     """phi(prefactor * x^xvec) = sum_n q^{n(n-1)/2} (-pref)^n x^{n.vec} / (q;q)_n.
 
     Inverse of ``eq_of_monomial`` with the same argument.
     """
-    deg = sum(xvec)
-    if deg <= 0:
-        raise ValueError("argument must have positive total degree")
-    out = MultiSeries.one(N, cap, ctx.field, laurent)
-    p = ctx.field.one
-    for n in range(1, cap // deg + 1):
-        p = p * (-prefactor)
-        out.terms[tuple(n * e for e in xvec)] = \
-            spow(ctx.q, n * (n - 1) // 2) * p / ctx.qq(n)
-    return out
+    return _qexp_of_monomial(_phi_coeff, ctx, N, cap, prefactor, xvec)
 
 
 # -- operators -----------------------------------------------------------
@@ -258,16 +251,27 @@ def mul_op(series):
     return Op(lambda s: series * s)
 
 
+def sparse_op(expand):
+    """The operator  x^nu -> sum c * x^{nu+xvec}  over the pairs
+    (xvec, c) of expand(nu, budget), with budget = cap - |nu|.  expand
+    lists only pairs with |xvec| <= budget, so nothing past the cap is
+    evaluated."""
+    def apply(s):
+        out = MultiSeries(s.N, s.cap, s.field)
+        terms = out.terms
+        cap = s.cap
+        for nu, c in s.terms.items():
+            for xv, coeff in expand(nu, cap - sum(nu)):
+                add_term(terms, tuple(map(add, nu, xv)), coeff * c)
+        return out
+    return Op(apply)
+
+
 def diagonal_op(fn):
     """Multiply the coefficient of x^theta by fn(theta)."""
-    def apply(s):
-        out = MultiSeries(s.N, s.cap, s.field, None, s.laurent)
-        for k, v in s.terms.items():
-            w = fn(k) * v
-            if w:
-                out.terms[k] = w
-        return out
-    return Op(apply, "preserves")
+    def expand(theta, budget):
+        return (((0,) * len(theta), fn(theta)),)
+    return Op(sparse_op(expand).fn, "preserves")
 
 
 def shift_scaling_op(alphas, field):
@@ -301,57 +305,43 @@ def qborel_op(twice_c, ctx):
 def normal_ordered_op(terms):
     """Normal-ordered operator from static terms [(xvec, coeff_fn)]:
     on x^nu it adds coeff_fn(nu) * x^{nu+xvec}."""
-    terms = [(tuple(xv), fn) for xv, fn in terms]
-    def apply(s):
-        out = MultiSeries(s.N, s.cap, s.field, None, s.laurent)
-        for nu, c in s.terms.items():
-            for xv, fn in terms:
-                k = tuple(a + b for a, b in zip(nu, xv))
-                if sum(k) <= s.cap:
-                    _acc(out.terms, k, fn(nu) * c)
-        return out
-    return Op(apply)
+    terms = sorted(((tuple(xv), fn) for xv, fn in terms),
+                   key=lambda t: sum(t[0]))
+    degrees = [sum(xv) for xv, _ in terms]
+
+    def expand(nu, budget):
+        return [(xv, fn(nu))
+                for xv, fn in terms[:bisect_right(degrees, budget)]]
+    return sparse_op(expand)
 
 
 def normal_ordered_dynamic_op(expand):
     """Normal-ordered operator whose x-support depends on the source
     exponent: expand(nu) yields (xvec, scalar) pairs."""
-    def apply(s):
-        out = MultiSeries(s.N, s.cap, s.field, None, s.laurent)
-        for nu, c in s.terms.items():
-            for xv, coeff in expand(nu):
-                k = tuple(a + b for a, b in zip(nu, xv))
-                if sum(k) <= s.cap:
-                    _acc(out.terms, k, coeff * c)
-        return out
-    return Op(apply)
+    return sparse_op(lambda nu, budget: [(xv, c) for xv, c in expand(nu)
+                                         if sum(xv) <= budget])
 
 
-def euler_qpow_op(coeffs_twice, ctx):
-    """Diagonal q^{(1/2) sum_i coeffs_twice[i] * theta_i}."""
-    def fn(theta):
-        e = sum(c * t for c, t in zip(coeffs_twice, theta))
-        return ctx.qpow_half(e)
-    return diagonal_op(fn)
+def letter_op(i, w, scale, ctx, N):
+    """The letter  scale * x_i * q^{(1/2) w.theta}  (0-based position i,
+    cyclic; w an integer vector).  Raises degree by one."""
+    unit = tuple(1 if p == i % N else 0 for p in range(N))
+    w = tuple(w)
+
+    def expand(nu, budget):
+        if budget < 1:
+            return ()
+        return ((unit, scale * ctx.qpow_half(sum(map(mul, w, nu)))),)
+    return sparse_op(expand)
 
 
 def twisted_letter_op(i, direction, scale, ctx, N):
     """The letter  scale * x_i * q^{direction * (theta_i - theta_{i-1})}
     (0-based position i, cyclic).  Raises degree by one."""
-    i = i % N
-    j = (i - 1) % N
-    def apply(s):
-        out = MultiSeries(s.N, s.cap, s.field, None, s.laurent)
-        for nu, c in s.terms.items():
-            if sum(nu) + 1 > s.cap:
-                continue
-            k = list(nu)
-            k[i] += 1
-            w = scale * ctx.qpow_half(2 * direction * (nu[i] - nu[j])) * c
-            if w:
-                _acc(out.terms, tuple(k), w)
-        return out
-    return Op(apply)
+    w = [0] * N
+    w[i % N] += 2 * direction
+    w[(i - 1) % N] -= 2 * direction
+    return letter_op(i, w, scale, ctx, N)
 
 
 def word_op(indices, direction, scales, ctx, N):
@@ -363,37 +353,30 @@ def word_op(indices, direction, scales, ctx, N):
     return compose(ops), len(indices)
 
 
-def op_qexp(word, word_degree, sign, ctx, cap):
-    """e_q(sign * W) = sum_n sign^n W^n / (q;q)_n, by explicit powers."""
+def _qexp_op(coeff, word, word_degree, z, ctx, cap):
+    coeffs = [coeff(ctx, z, n) for n in range(1, cap // max(word_degree, 1) + 1)]
+
     def apply(s):
         out = s.copy()
         power = s
-        sgn = ctx.field.one
-        for n in range(1, cap // max(word_degree, 1) + 1):
+        for c in coeffs:
             power = word(power)
             if power.is_zero():
                 break
-            sgn = sgn * sign
-            out = out + power.scale(sgn / ctx.qq(n))
+            out = out + power.scale(c)
         return out
     return Op(apply)
+
+
+def op_qexp(word, word_degree, sign, ctx, cap):
+    """e_q(sign * W) = sum_n sign^n W^n / (q;q)_n, by explicit powers."""
+    return _qexp_op(_eq_coeff, word, word_degree, sign, ctx, cap)
 
 
 def op_qexp_big(word, word_degree, sign, ctx, cap):
     """phi(-sign*W) = E_q(sign*W) = sum_n q^{n(n-1)/2} sign^n W^n/(q;q)_n;
     the two-sided inverse of op_qexp(word, sign)."""
-    def apply(s):
-        out = s.copy()
-        power = s
-        sgn = ctx.field.one
-        for n in range(1, cap // max(word_degree, 1) + 1):
-            power = word(power)
-            if power.is_zero():
-                break
-            sgn = sgn * sign
-            out = out + power.scale(spow(ctx.q, n * (n - 1) // 2) * sgn / ctx.qq(n))
-        return out
-    return Op(apply)
+    return _qexp_op(_phi_coeff, word, word_degree, -sign, ctx, cap)
 
 
 def neumann_inverse_op(op, cap):
@@ -412,6 +395,27 @@ def neumann_inverse_op(op, cap):
     return Op(apply)
 
 
+def _qexp_product_normal_op(coeff, scales, direction, ctx, N, cap):
+    """Normal-ordered product over i of the q-exponential series with
+    coefficients coeff(ctx, c_i, n) in the letters
+    c_i x_i q^{direction (theta_i - theta_{i-1})}, expanded over
+    multi-exponents a with |a| <= cap: on x^nu the a-term is
+    prod_i coeff(ctx, c_i, a_i) q^{direction a_i (nu_i - nu_{i-1})} x^{nu+a}."""
+    terms = []
+    for avec in all_monomials(N, cap):
+        pre = ctx.field.one
+        for i, ai in enumerate(avec):
+            if ai:
+                pre = pre * coeff(ctx, scales[i], ai)
+        # the exponent sum_i 2 direction a_i (nu_i - nu_{i-1}) as w.nu
+        w = [2 * direction * (avec[p] - avec[(p + 1) % N]) for p in range(N)]
+
+        def fn(nu, pre=pre, w=w):
+            return pre * ctx.qpow_half(sum(map(mul, w, nu)))
+        terms.append((avec, fn))
+    return normal_ordered_op(terms)
+
+
 def phi_product_normal_op(scales, direction, ctx, N, cap):
     """Normal-ordered  :prod_i phi(c_i x_i q^{direction (theta_i - theta_{i-1})}):.
 
@@ -419,54 +423,35 @@ def phi_product_normal_op(scales, direction, ctx, N, cap):
     contributes prod_i q^{a_i(a_i-1)/2} (-c_i)^{a_i} q^{direction a_i
     (nu_i - nu_{i-1})} / (q;q)_{a_i}  times x^{nu+a}.
     """
-    f = ctx.field
-    terms = []
-    for avec in all_monomials(N, cap):
-        pre = f.one
-        for i in range(N):
-            ai = avec[i]
-            if ai:
-                pre = pre * spow(ctx.q, ai * (ai - 1) // 2) \
-                    * spow(-scales[i], ai) / ctx.qq(ai)
-        def coeff(nu, avec=avec, pre=pre):
-            e = sum(2 * direction * avec[i] * (nu[i] - nu[i - 1]) for i in range(N))
-            return pre * ctx.qpow_half(e)
-        terms.append((avec, coeff))
-    return normal_ordered_op(terms)
+    return _qexp_product_normal_op(_phi_coeff, scales, direction, ctx, N, cap)
 
 
 def eq_product_normal_op(scales, direction, ctx, N, cap):
     """Normal-ordered  :prod_i e_q(c_i x_i q^{direction (theta_i - theta_{i-1})}):,
     the coefficient-wise inverse expansion of ``phi_product_normal_op``."""
-    f = ctx.field
-    terms = []
-    for avec in all_monomials(N, cap):
-        pre = f.one
-        for i in range(N):
-            ai = avec[i]
-            if ai:
-                pre = pre * spow(scales[i], ai) / ctx.qq(ai)
-        def coeff(nu, avec=avec, pre=pre):
-            e = sum(2 * direction * avec[i] * (nu[i] - nu[i - 1]) for i in range(N))
-            return pre * ctx.qpow_half(e)
-        terms.append((avec, coeff))
-    return normal_ordered_op(terms)
+    return _qexp_product_normal_op(_eq_coeff, scales, direction, ctx, N, cap)
 
 
-# -- test helpers ---------------------------------------------------------
+# -- exponent vectors ---------------------------------------------------------
+
+
+def exponent_vectors(lo, hi, total=None):
+    """All integer vectors v with lo <= v <= hi componentwise and, when
+    ``total`` is given, sum(v) <= total; in lexicographic order."""
+    if total is None:
+        total = sum(hi)
+    rest = sum(lo)
+    out = [((), 0)]
+    for a, b in zip(lo, hi):
+        rest -= a
+        out = [(t + (e,), s + e) for t, s in out
+               for e in range(a, min(b, total - s - rest) + 1)]
+    return [t for t, _ in out]
 
 
 def all_monomials(N, degree):
-    """All exponent vectors with total degree <= degree."""
-    out = []
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-    rec([], N, degree)
-    return out
+    """All exponent vectors with total degree <= degree, lexicographic."""
+    return exponent_vectors((0,) * N, (degree,) * N, degree)
 
 
 def ops_agree_on_monomials(op_a, op_b, N, degree, cap, field):

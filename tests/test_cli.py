@@ -62,6 +62,16 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run_cli(["props", "--suite", "no-such-suite"])
     assert code == 2
+    code, _ = run_cli(["verify", "--n", "8", "--degree", "1"])
+    assert code == 2
+    code, _ = run_cli(["verify", "--n", "3", "--degree", "2",
+                       "--form", "gl2-symmetric"])
+    assert code == 2
+    code, _ = run_cli(["props", "--suite", "combinatorics", "--m", "1,x"])
+    assert code == 2
+    code, _ = run_cli(["verify", "--n", "1", "--degree", "1",
+                       "--out", "/nonexistent/x.json"])
+    assert code == 2
 
 
 def test_prime_mode_reports_prime():
@@ -84,9 +94,10 @@ def test_rmatrix_command():
 
 
 def test_props_suites_pass():
-    for suite in ("pentagon", "combinatorics", "jackson"):
-        code, out = run_cli(["props", "--suite", suite])
-        assert code == 0, suite
+    for suite, mode in (("pentagon", "rational"), ("combinatorics", "rational"),
+                        ("jackson", "rational"), ("jackson", "prime")):
+        code, out = run_cli(["props", "--suite", suite, "--mode", mode])
+        assert code == 0, (suite, mode)
         doc = json.loads(out)
         assert doc["status"] == "pass"
 
