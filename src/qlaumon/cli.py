@@ -204,29 +204,29 @@ def cmd_rmatrix(args):
     return rep
 
 
-def _suite_pentagon(rep, seed, mode):
-    bad = check_pentagon(3, 3, seed, mode)
+def _suite_pentagon(rep, args):
+    bad = check_pentagon(3, 3, args.seed, args.mode)
     rep.add("pentagon-n3-deg3", not bad, {"failures": repr(bad)} if bad else None)
 
 
-def _suite_forms(rep, seed, mode):
+def _suite_forms(rep, args):
     for N in (2, 3):
-        bad = check_form_equivalence(N, 2, seed, mode)
+        bad = check_form_equivalence(N, 2, args.seed, args.mode)
         rep.add("three-forms-n%d-deg2" % N, not bad,
                 {"failures": repr(bad)} if bad else None)
 
 
-def _suite_dynkin(rep, seed, mode):
-    bad = check_dynkin_family(3, 2, seed, mode)
+def _suite_dynkin(rep, args):
+    bad = check_dynkin_family(3, 2, args.seed, args.mode)
     rep.add("dynkin-family-n3-deg2", not bad,
             {"failures": repr(bad)} if bad else None)
-    bad = check_borel_moved_triple(3, 2, seed, mode)
+    bad = check_borel_moved_triple(3, 2, args.seed, args.mode)
     rep.add("moved-borel-triple-n3-deg2", not bad,
             {"failures": repr(bad)} if bad else None)
 
 
-def _suite_appendix_a(rep, seed, mode):
-    ps = sample_params(seed, 2, mode)
+def _suite_appendix_a(rep, args):
+    ps = sample_params(args.seed, 2, args.mode)
     h_simple = hamiltonian_op(HamiltonianSpec(ps, "simple", 3))
     h_sym = hamiltonian_op(HamiltonianSpec(ps, "gl2-symmetric", 3))
     where = ops_agree_on_monomials(h_simple, h_sym, 2, 3, 3, ps.field)
@@ -234,20 +234,26 @@ def _suite_appendix_a(rep, seed, mode):
             None if where is None else {"first_offender": list(where)})
 
 
-def _suite_appendix_c(rep, seed, mode):
+def _suite_appendix_c(rep, args):
     for N in (2, 3):
-        lp, _ = _spectral_params(seed, N, mode)
+        lp, _ = _spectral_params(args.seed, N, args.mode)
         bad = check_poch_sinh_relation(lp, 2)
         rep.add("poch-vs-sinh-n%d-deg2" % N, not bad,
                 {"failures": repr(bad)} if bad else None)
     for N, D in ((1, 4), (2, 3)):
-        lp, _ = _spectral_params(seed + 1, N, mode)
+        lp, _ = _spectral_params(args.seed + 1, N, args.mode)
         where = check_inversion_symmetry(lp, D)
         rep.add("inversion-symmetry-n%d-deg%d" % (N, D), where is None,
                 None if where is None else {"first_offender": list(where)})
 
 
-def _suite_combinatorics(rep, seed, mode, mvec):
+def _suite_combinatorics(rep, args):
+    try:
+        mvec = tuple(int(x) for x in args.m.split(",")) if args.m \
+            else (3, 2, 1)
+    except ValueError:
+        raise UsageError("--m needs comma-separated integers, got %r"
+                         % args.m)
     ok = True
     for N in range(1, 5):
         for M in range(0, 5):
@@ -266,8 +272,8 @@ def _suite_combinatorics(rep, seed, mode, mvec):
     }
 
 
-def _suite_4d(rep, seed, mode):
-    rng = random.Random(("cli4d", seed).__repr__())
+def _suite_4d(rep, args):
+    rng = random.Random(("cli4d", args.seed).__repr__())
     ok = all(check_poch_4d(rng.randrange(-6, 7), rng.randrange(0, 7),
                            Fraction(rng.randrange(1, 9), rng.randrange(9, 20)))
              for _ in range(50))
@@ -280,16 +286,16 @@ def _suite_4d(rep, seed, mode):
     rep.add("first-order-symbol-difference",
             k_difference(nu, m, mbar, gam, pt)
             == k_difference_formula(nu, m, mbar, gam, pt))
-    ap = AdditiveParams.sample(seed, 2)
+    ap = AdditiveParams.sample(args.seed, 2)
     through, bad = fst_check(ap, 4)
     rep.add("annihilation-n2-deg4", through >= 2,
             {"vanishes_through": through})
 
 
-def _suite_jackson(rep, seed, mode):
-    rng = random.Random(("clijack", seed).__repr__())
+def _suite_jackson(rep, args):
+    rng = random.Random(("clijack", args.seed).__repr__())
     for (N, M) in ((2, 1), (2, 2), (3, 2)):
-        ps = sample_params(seed + N + M, N, mode)
+        ps = sample_params(args.seed + N + M, N, args.mode)
         spec = CocycleSpec.from_params(ps, tuple([M] + [0] * (N - 1)))
         cfgs = []
         while len(cfgs) < expected_rank(N, M):
@@ -308,7 +314,7 @@ SUITES = {
     "dynkin": _suite_dynkin,
     "appendixA": _suite_appendix_a,
     "appendixC": _suite_appendix_c,
-    "combinatorics": None,  # takes the extra m vector
+    "combinatorics": _suite_combinatorics,
     "4d": _suite_4d,
     "jackson": _suite_jackson,
 }
@@ -320,16 +326,7 @@ def cmd_props(args):
                          % (args.suite, ", ".join(sorted(SUITES))))
     rep = Report("props", args.seed, args.mode)
     rep.parameters = {"suite": args.suite}
-    if args.suite == "combinatorics":
-        try:
-            mvec = tuple(int(x) for x in args.m.split(",")) if args.m \
-                else (3, 2, 1)
-        except ValueError:
-            raise UsageError("--m needs comma-separated integers, got %r"
-                             % args.m)
-        _suite_combinatorics(rep, args.seed, args.mode, mvec)
-    else:
-        SUITES[args.suite](rep, args.seed, args.mode)
+    SUITES[args.suite](rep, args)
     return rep
 
 

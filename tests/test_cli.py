@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qlaumon
 from qlaumon.cli import main
 
 
@@ -110,9 +113,14 @@ def test_combinatorics_emits_polyhedron_vertices():
 
 
 def test_console_entry_point_runs():
+    # the child process imports the package under test, not an installed copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qlaumon.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "qlaumon.cli", "verify", "--n", "1",
          "--degree", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"

@@ -11,8 +11,8 @@ from qlaumon.rmatrix import (b1_specialized, b2_inverse_entry, b2_specialized,
                              check_transition, closed_matrix,
                              composition_to_support, compositions,
                              connection_matrix, gauge_match_to_hamiltonian,
-                             norm_factor, phi_kernel, phi_kernel_masslike,
-                             reference_point, s_of_m,
+                             _monomial_recognizer, norm_factor, phi_kernel,
+                             phi_kernel_masslike, reference_point, s_of_m,
                              support_polyhedron_vertices, support_size_formula,
                              support_to_composition, truncated_equation_matrix,
                              weight_shells)
@@ -267,6 +267,17 @@ def test_gauge_match_trivial_and_higher_rank_report():
     # must say so rather than fabricate a match
     assert not rep3.found
     assert "tried" in rep3.note
+
+
+def test_monomial_recognizer_reads_exponents():
+    for mode in ("rational", "prime"):
+        ps, ctx, rng = ctx_and_rng(99, 2, mode)
+        mus, _ = draw_masses(rng, ps.field, 2)
+        lam = rand_square(rng, ps.field)[1]
+        recognize = _monomial_recognizer(ctx, mus, lam, 3, 40)
+        x = -ctx.qpow_half(3) * spow(mus[0], -1) * spow(lam, 2)
+        assert recognize(x) == (-1, 3, [-1, 0], 2), mode
+        assert recognize(1 + ctx.q) is None, mode
 
 
 def test_truncated_equation_matrix_respects_support():
