@@ -181,10 +181,10 @@ def cmd_rmatrix(args):
     extra = [[rand_square(rng, ps.field)[1] for _ in range(N)] for _ in range(3)]
     try:
         rc, idx = connection_matrix(N, M, lam, mus, ctx, residual_points=extra)
+        rx, _ = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
     except (ArithmeticError, ZeroDivisionError) as exc:
         raise UsageError("degenerate parameters: %s" % exc)
     rep.add("closed-inverse-and-residuals", True)
-    rx, _ = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
     rep.add("closed-form-equals-connection", rc == rx)
     rep.add("triangular-zero-pattern",
             not b2_triangular_zeros(N, M, lam, ctx))

@@ -214,40 +214,42 @@ def laumon_4d(ap, cap):
     """Leading jet of the solution series in the additive parametrization:
     exact rational coefficients.  The h-powers cancel because numerator
     and denominator bracket counts agree pair by pair; this balance is
-    asserted for every tuple."""
+    asserted for every tuple.  As in ``nekrasov.tuple_weights``, the
+    argument exponents are computed once and each factor is memoized on
+    (role, i, j, lam, mu) for the length of the call."""
     N = ap.N
     out = MultiSeries.zero(N, cap, RATIONAL)
+    # a_i/b_j with a_i = q kappa b_{i-1}/d_{i-1}; b_i/c_j with
+    # c_j = b_j/dbar_j; b_i/b_j
+    pairs = [(i, j, 1 + ap.eps + ap.betas[(i - 1) % N] - ap.m[(i - 1) % N]
+              - ap.betas[j], ap.betas[i] - ap.betas[j] + ap.mbar[j],
+              ap.betas[i] - ap.betas[j]) for i in range(N) for j in range(N)]
+    memo = {}
+
+    def factor(tup, role, i, j, lam, mu, E):
+        key = (role, i, j, lam, mu)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _additive_nek(j - i, N, lam, mu, E, ap.eps)
+            if got[0] == 0:
+                raise VanishingLinearForm(tup, "%s %d,%d" % (role, i, j))
+        return got
+
     for tup in enumerate_tuples(N, cap):
-        kvec = colored_counts(tup, N)
-        num = Fraction(1)
-        den = Fraction(1)
+        num = den = Fraction(1)
         ncount = dcount = 0
-        for i in range(N):
-            for j in range(N):
-                color = j - i
-                # a_i/b_j with a_i = q kappa b_{i-1}/d_{i-1}
-                e_ab = 1 + ap.eps + ap.betas[(i - 1) % N] - ap.m[(i - 1) % N] \
-                    - ap.betas[j]
-                v, c = _additive_nek(color, N, (), tup[j], e_ab, ap.eps)
-                if v == 0:
-                    raise VanishingLinearForm(tup, "antifundamental %d,%d" % (i, j))
-                num *= v
-                ncount += c
-                # b_i/c_j with c_j = b_j/dbar_j
-                e_bc = ap.betas[i] - ap.betas[j] + ap.mbar[j]
-                v, c = _additive_nek(color, N, tup[i], (), e_bc, ap.eps)
-                if v == 0:
-                    raise VanishingLinearForm(tup, "fundamental %d,%d" % (i, j))
-                num *= v
-                ncount += c
-                v, c = _additive_nek(color, N, tup[i], tup[j],
-                                     ap.betas[i] - ap.betas[j], ap.eps)
-                if v == 0:
-                    raise VanishingLinearForm(tup, "vector %d,%d" % (i, j))
-                den *= v
-                dcount += c
+        for i, j, e_ab, e_bc, e_bb in pairs:
+            v, c = factor(tup, "antifundamental", i, j, (), tup[j], e_ab)
+            num *= v
+            ncount += c
+            v, c = factor(tup, "fundamental", i, j, tup[i], (), e_bc)
+            num *= v
+            ncount += c
+            v, c = factor(tup, "vector", i, j, tup[i], tup[j], e_bb)
+            den *= v
+            dcount += c
         assert ncount == dcount, "bracket count imbalance at %r" % (tup,)
-        add_term(out.terms, kvec, num / den)
+        add_term(out.terms, colored_counts(tup, N), num / den)
     return out
 
 

@@ -25,10 +25,13 @@ from .series import (MultiSeries, add_term, compose, delta_quadratic,
 
 
 class NekContext:
-    """q and kappa with square roots, shared by all factor evaluations."""
+    """q and kappa with square roots, shared by all factor evaluations;
+    ``qctx`` and ``kctx`` cache the integer powers of sqrt_q and of
+    sqrt_kappa."""
 
     def __init__(self, sqrt_q, sqrt_kappa, field):
         self.qctx = QContext(sqrt_q, field)
+        self.kctx = QContext(sqrt_kappa, field)
         self.sqrt_q = sqrt_q
         self.q = sqrt_q * sqrt_q
         self.sqrt_kappa = sqrt_kappa
@@ -87,8 +90,8 @@ def nek_sinh(k, N, lam, mu, sqrt_u, nc):
             continue
         start = (j - k - 1) % N + 1
         for i in range(start, j + 1, N):
-            arg = sqrt_u * spow(nc.sqrt_q, -part(mu, i) + part(lam, j + 1)) \
-                * spow(nc.sqrt_kappa, j - i)
+            arg = sqrt_u * nc.qctx.qpow_half(-part(mu, i) + part(lam, j + 1)) \
+                * nc.kctx.qpow_half(j - i)
             out = out * bracket(arg, n, nc.qctx)
     for beta in range(1, len(mu) + 1):
         n = part(mu, beta) - part(mu, beta + 1)
@@ -96,8 +99,8 @@ def nek_sinh(k, N, lam, mu, sqrt_u, nc):
             continue
         start = (beta + k) % N + 1
         for alpha in range(start, beta + 1, N):
-            arg = sqrt_u * spow(nc.sqrt_q, part(lam, alpha) - part(mu, beta)) \
-                * spow(nc.sqrt_kappa, alpha - beta - 1)
+            arg = sqrt_u * nc.qctx.qpow_half(part(lam, alpha) - part(mu, beta)) \
+                * nc.kctx.qpow_half(alpha - beta - 1)
             out = out * bracket(arg, n, nc.qctx)
     return out
 
@@ -236,56 +239,63 @@ def laumon_partition_function(lp, cap, kind="sinh"):
     Constant term is one; a vanishing vector-multiplet denominator raises
     DegenerateParameters."""
     N = lp.N
-    nc = lp.nc
-    out = MultiSeries.zero(N, cap, nc.field)
+    out = MultiSeries.zero(N, cap, lp.nc.field)
+    weight = tuple_weights(lp, kind)
     for tup in enumerate_tuples(N, cap):
-        add_term(out.terms, colored_counts(tup, N), _tuple_weight(lp, tup, kind))
+        add_term(out.terms, colored_counts(tup, N), weight(tup))
     return out
 
 
-def _tuple_weight(lp, tup, kind):
+def tuple_weights(lp, kind="sinh", pure=False):
+    """The weight of a tuple as a function of the tuple, for one pass over
+    many tuples.
+
+    A tuple's weight is the product over slot pairs (i, j), color j - i,
+    of n1 n2 / dd: n1 pairs (empty, tup[j]) at a_i/b_j, n2 pairs
+    (tup[i], empty) at b_i/c_j and dd, the vector multiplet, pairs
+    (tup[i], tup[j]) at b_i/b_j.  The 3 N^2 arguments are computed once
+    and each factor is memoized on (role, i, j, partition(s)); the memo
+    lives as long as the returned function.  Numerator and denominator
+    are multiplied apart, so a tuple costs one division.  ``pure`` drops
+    the numerator (vector multiplet only)."""
     N = lp.N
     nc = lp.nc
-    num = nc.field.one
-    den = nc.field.one
-    for i in range(N):
-        for j in range(N):
-            color = j - i
-            if kind == "sinh":
-                n1 = nek_sinh(color, N, (), tup[j], lp.sqrt_a[i] / lp.sqrt_b[j], nc)
-                n2 = nek_sinh(color, N, tup[i], (), lp.sqrt_b[i] / lp.sqrt_c[j], nc)
-                dd = nek_sinh(color, N, tup[i], tup[j], lp.sqrt_b[i] / lp.sqrt_b[j], nc)
-            else:
-                n1 = nek_poch_box(color, N, (), tup[j],
-                                  lp.sqrt_a[i] ** 2 / lp.sqrt_b[j] ** 2, nc)
-                n2 = nek_poch_box(color, N, tup[i], (),
-                                  lp.sqrt_b[i] ** 2 / lp.sqrt_c[j] ** 2, nc)
-                dd = nek_poch_box(color, N, tup[i], tup[j],
-                                  lp.sqrt_b[i] ** 2 / lp.sqrt_b[j] ** 2, nc)
+    one = nc.field.one
+    nek = nek_sinh if kind == "sinh" else nek_poch_box
+
+    def arg(x, y):
+        r = x / y
+        return r if kind == "sinh" else r * r
+
+    pairs = [(i, j, arg(lp.sqrt_a[i], lp.sqrt_b[j]), arg(lp.sqrt_b[i], lp.sqrt_c[j]),
+              arg(lp.sqrt_b[i], lp.sqrt_b[j])) for i in range(N) for j in range(N)]
+    memo = {}
+
+    def factor(role, i, j, lam, mu, u):
+        key = (role, i, j, lam, mu)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = nek(j - i, N, lam, mu, u, nc)
+        return v
+
+    def weight(tup):
+        num = den = one
+        for i, j, u1, u2, ud in pairs:
+            dd = factor("dd", i, j, tup[i], tup[j], ud)
             if not dd:
                 raise DegenerateParameters(tup, (i + 1, j + 1))
-            num = num * n1 * n2
             den = den * dd
-    return num / den
+            if not pure:
+                num = num * factor("n1", i, j, (), tup[j], u1) \
+                    * factor("n2", i, j, tup[i], (), u2)
+        return num / den
+
+    return weight
 
 
 def pure_tuple_weight(lp, tup, kind="sinh"):
     """Vector-multiplet-only weight (numerators dropped)."""
-    N = lp.N
-    nc = lp.nc
-    den = nc.field.one
-    for i in range(N):
-        for j in range(N):
-            color = j - i
-            if kind == "sinh":
-                dd = nek_sinh(color, N, tup[i], tup[j], lp.sqrt_b[i] / lp.sqrt_b[j], nc)
-            else:
-                dd = nek_poch_box(color, N, tup[i], tup[j],
-                                  lp.sqrt_b[i] ** 2 / lp.sqrt_b[j] ** 2, nc)
-            if not dd:
-                raise DegenerateParameters(tup, (i + 1, j + 1))
-            den = den * dd
-    return 1 / den
+    return tuple_weights(lp, kind, pure=True)(tup)
 
 
 # -- parametrization of the difference-equation solution ---------------------
@@ -384,15 +394,14 @@ def check_poch_sinh_relation(lp, cap):
     prefactor times the sinh-type weight, full and vector-multiplet-only.
     Returns the list of failures (empty when the relation holds)."""
     bad = []
+    full_p, full_s = tuple_weights(lp, "poch"), tuple_weights(lp, "sinh")
+    pure_p = tuple_weights(lp, "poch", pure=True)
+    pure_s = tuple_weights(lp, "sinh", pure=True)
     for tup in enumerate_tuples(lp.N, cap):
         kvec = colored_counts(tup, lp.N)
-        full_p = _tuple_weight(lp, tup, "poch")
-        full_s = _tuple_weight(lp, tup, "sinh")
-        if full_p != poch_vs_sinh_prefactor(lp, kvec, False) * full_s:
+        if full_p(tup) != poch_vs_sinh_prefactor(lp, kvec, False) * full_s(tup):
             bad.append(("full", tup))
-        pure_p = pure_tuple_weight(lp, tup, "poch")
-        pure_s = pure_tuple_weight(lp, tup, "sinh")
-        if pure_p != poch_vs_sinh_prefactor(lp, kvec, True) * pure_s:
+        if pure_p(tup) != poch_vs_sinh_prefactor(lp, kvec, True) * pure_s(tup):
             bad.append(("pure", tup))
     return bad
 

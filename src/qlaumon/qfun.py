@@ -14,13 +14,15 @@ from .scalars import spow
 
 
 class QContext:
-    """Base q with its square root, plus small caches of (q;q)_n."""
+    """Base q with its square root, plus small caches of (q;q)_n and of
+    the integer powers of sqrt_q."""
 
     def __init__(self, sqrt_q, field):
         self.sqrt_q = sqrt_q
         self.q = sqrt_q * sqrt_q
         self.field = field
         self._qq = [field.one]  # (q;q)_n cache
+        self._half = {}  # e -> sqrt_q**e
 
     def qq(self, n):
         """(q;q)_n for n >= 0."""
@@ -31,7 +33,10 @@ class QContext:
 
     def qpow_half(self, twice_exponent):
         """q**(twice_exponent/2) as an integer power of sqrt_q."""
-        return spow(self.sqrt_q, twice_exponent)
+        v = self._half.get(twice_exponent)
+        if v is None:
+            v = self._half[twice_exponent] = spow(self.sqrt_q, twice_exponent)
+        return v
 
 
 def poch(x, q, n):
@@ -63,14 +68,14 @@ def bracket(sqrt_u, n, ctx):
     via [u;q]_n = 1/[u q^n; q]_{-n}.
     """
     if n < 0:
-        v = bracket(sqrt_u * spow(ctx.sqrt_q, n), -n, ctx)
+        v = bracket(sqrt_u * ctx.qpow_half(n), -n, ctx)
         if not v:
             raise ZeroDivisionError("zero bracket in [u;q]_n with n < 0")
         return 1 / v
     inv_su = 1 / sqrt_u
     out = ctx.field.one
     for j in range(n):
-        out = out * (spow(ctx.sqrt_q, -j) * inv_su - spow(ctx.sqrt_q, j) * sqrt_u)
+        out = out * (ctx.qpow_half(-j) * inv_su - ctx.qpow_half(j) * sqrt_u)
     return out
 
 

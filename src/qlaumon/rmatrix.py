@@ -553,14 +553,21 @@ def _monomial_recognizer(ctx, mus, lam, lam_bound, bound, mass_bound=2):
 
 
 def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
-    """Test for diagonal matrices K, L with q-power entries relating
-    the shift-free truncated-equation matrix to the closed-form
-    connection matrix.
+    """Test for constant diagonal matrices K, L relating the shift-free
+    truncated-equation matrix to the closed-form connection matrix.
 
-    The working ansatz (verified for N = 2, every truncation): with
+    The working ansatz (holds for N = 2, every truncation): with
     H = [plain side] . [mass side]^{-1},
 
         H(lam) = K^{-1} . R(q^{-1} lam ; q^{-m_a} mu_a) . L .
+
+    ``found`` means only that the entrywise ratio H / R has rank one on
+    the common support, which is exactly the existence of such K, L; it
+    says nothing about the form of their entries.  The entries are then
+    read as +- q^{e/2} times mass and lam monomials where possible and
+    reported raw otherwise, with a note.  At N = 2 the non-trivial
+    entries have not been seen to be such monomials, so no q-power
+    form of K, L is claimed.
 
     Only this point is tried.  A 3 x 3 window of one further q-shift of
     lam and of the masses either way was scanned once; over N <= 4,

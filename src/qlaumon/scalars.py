@@ -66,7 +66,7 @@ class PrimeScalar:
             return NotImplemented
         if other.r == 0:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return PrimeScalar(self.r * pow(other.r, PRIME - 2, PRIME))
+        return PrimeScalar(self.r * pow(other.r, -1, PRIME))
 
     def __rtruediv__(self, other):
         other = _as_prime(other)
@@ -79,7 +79,7 @@ class PrimeScalar:
             return PrimeScalar(pow(self.r, e, PRIME))
         if self.r == 0:
             raise ZeroDivisionError("negative power of zero in GF(p)")
-        return PrimeScalar(pow(pow(self.r, PRIME - 2, PRIME), -e, PRIME))
+        return PrimeScalar(pow(self.r, e, PRIME))
 
     def __neg__(self):
         return PrimeScalar(-self.r)

@@ -75,6 +75,9 @@ def test_usage_errors_exit_two():
     code, _ = run_cli(["verify", "--n", "1", "--degree", "1",
                        "--out", "/nonexistent/x.json"])
     assert code == 2
+    # seed 4 draws a mass that is a power of q: the closed form divides by zero
+    code, _ = run_cli(["rmatrix", "--n", "2", "--m-total", "1", "--seed", "4"])
+    assert code == 2
 
 
 def test_prime_mode_reports_prime():

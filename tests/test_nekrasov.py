@@ -11,9 +11,10 @@ from qlaumon.nekrasov import (DegenerateParameters, LaumonParams,
                               nek_context, nek_matter_anti, nek_matter_fund,
                               nek_poch_box, nek_sinh, nek_sinh_box,
                               pure_tuple_weight, solution_series,
-                              solution_spectral_params)
+                              solution_spectral_params, tuple_weights)
 from qlaumon.params import rand_square, sample_params
-from qlaumon.partitions import part, partitions_up_to
+from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
+                                partitions_up_to)
 from qlaumon.qfun import single_bracket
 from qlaumon.scalars import spow
 from qlaumon.series import MultiSeries
@@ -190,14 +191,13 @@ def test_partition_function_common_rescaling_invariance():
 
 def test_partition_function_sum_order_independent():
     lp, ps = generic_lp(11, 2)
-    from qlaumon.nekrasov import _tuple_weight
-    from qlaumon.partitions import colored_counts, enumerate_tuples
     want = laumon_partition_function(lp, 3, "sinh")
+    weight = tuple_weights(lp, "sinh")
     got = MultiSeries.zero(2, 3, ps.field)
     for tup in reversed(list(enumerate_tuples(2, 3))):
         kvec = colored_counts(tup, 2)
         prev = got.terms.get(kvec, ps.field.zero)
-        got.terms[kvec] = prev + _tuple_weight(lp, tup, "sinh")
+        got.terms[kvec] = prev + weight(tup)
     got.terms = {k: v for k, v in got.terms.items() if v}
     assert got == want
 
@@ -211,7 +211,40 @@ def test_degenerate_denominator_reported_with_tuple():
                        lp.sqrt_c)
     with pytest.raises(DegenerateParameters) as err:
         laumon_partition_function(bad, 2, "sinh")
-    assert err.value.tup is not None
+    assert err.value.tup == ((), (1,))
+    assert err.value.pair == (1, 2)
+
+
+def plain_partition_function(lp, cap, kind):
+    """The partition function as a plain sum over tuples of the full
+    3 N^2-factor product, every factor evaluated afresh in box form."""
+    N, nc = lp.N, lp.nc
+    f = nc.field
+    if kind == "sinh":
+        nek, arg = nek_sinh_box, (lambda x, y: x / y)
+    else:
+        nek, arg = nek_poch_box, (lambda x, y: x * x / (y * y))
+    out = MultiSeries.zero(N, cap, f)
+    for tup in enumerate_tuples(N, cap):
+        w = f.one
+        for i in range(N):
+            for j in range(N):
+                w = w * nek(j - i, N, (), tup[j], arg(lp.sqrt_a[i], lp.sqrt_b[j]), nc) \
+                    * nek(j - i, N, tup[i], (), arg(lp.sqrt_b[i], lp.sqrt_c[j]), nc) \
+                    / nek(j - i, N, tup[i], tup[j], arg(lp.sqrt_b[i], lp.sqrt_b[j]), nc)
+        kvec = colored_counts(tup, N)
+        out.terms[kvec] = out.terms.get(kvec, f.zero) + w
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("kind", ["sinh", "poch"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_memoized_partition_function_matches_plain_sum(N, kind, mode):
+    lp = solution_spectral_params(sample_params(31, N, mode))
+    assert laumon_partition_function(lp, 4, kind) == \
+        plain_partition_function(lp, 4, kind)
 
 
 def test_solution_series_rank_one_closed_form():

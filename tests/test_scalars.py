@@ -37,6 +37,30 @@ def test_prime_field_pow():
     assert x ** -2 == 1 / (x * x)
 
 
+def test_prime_inverse_equals_fermat_inverse():
+    rng = random.Random(5)
+    residues = [1, 2, 3, 12345, PRIME - 2, PRIME - 1, 2 ** 60, 2 ** 31 - 1]
+    residues += [rng.randrange(1, PRIME) for _ in range(40)]
+    for r in residues:
+        fermat = pow(r, PRIME - 2, PRIME)
+        x = rng.randrange(PRIME)
+        assert (PrimeScalar(x) / PrimeScalar(r)).r == x * fermat % PRIME
+        assert (x / PrimeScalar(r)).r == x * fermat % PRIME
+        for e in (1, 2, 7):
+            assert (PrimeScalar(r) ** -e).r == pow(fermat, e, PRIME)
+
+
+def test_prime_zero_division_raises_zero_division_error():
+    with pytest.raises(ZeroDivisionError):
+        PrimeScalar(5) / PrimeScalar(0)
+    with pytest.raises(ZeroDivisionError):
+        PrimeScalar(5) / PRIME
+    with pytest.raises(ZeroDivisionError):
+        PrimeScalar(0) ** -1
+    with pytest.raises(ZeroDivisionError):
+        PrimeScalar(PRIME) ** -3
+
+
 def test_jet_agrees_with_rational_on_constant_parts():
     rng = random.Random(1)
     ops = "+-*/"
