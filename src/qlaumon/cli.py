@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .fourd import (AdditiveParams, check_poch_4d, fst_check, k_difference,
                     k_difference_formula)
-from .hamiltonian import (FORMS, check_borel_moved_triple,
+from .hamiltonian import (DEFAULT_FORM, FORMS, check_borel_moved_triple,
                           check_dynkin_family, check_form_equivalence,
                           check_pentagon, HamiltonianSpec, hamiltonian_op,
                           verify_conjecture)
@@ -361,7 +361,7 @@ def build_parser():
                         help="eigenfunction check of the difference equation")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--form", default="normal", choices=FORMS)
+    sp.add_argument("--form", default=DEFAULT_FORM, choices=FORMS)
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

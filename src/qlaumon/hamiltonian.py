@@ -29,7 +29,7 @@ from .params import sample_params
 from .qfun import QContext
 from .rmatrix import finite_poch_product, mat_eye, mat_mul
 from .scalars import spow
-from .series import (MultiSeries, compose, diagonal_op, eq_of_monomial,
+from .series import (compose, diagonal_op, eq_of_monomial,
                      eq_product_normal_op, letter_op,
                      mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
                      op_qexp, op_qexp_big, ops_agree_on_monomials,
@@ -37,12 +37,16 @@ from .series import (MultiSeries, compose, diagonal_op, eq_of_monomial,
                      shift_scaling_op, word_op)
 
 FORMS = ("simple", "higher", "normal", "gl2-symmetric", "borel-moved")
+# The form used when none is named: "higher" applies H to the solution
+# series fastest, "normal" slowest (its left block is a Neumann inverse);
+# the three act identically (``check_form_equivalence``).
+DEFAULT_FORM = "higher"
 
 
 class HamiltonianSpec:
     """N, parameters, chosen block form and degree cap."""
 
-    def __init__(self, params, form="normal", cap=4, scale=None):
+    def __init__(self, params, form=DEFAULT_FORM, cap=4, scale=None):
         if form not in FORMS:
             raise ValueError("unknown form %r" % form)
         if form == "gl2-symmetric" and params.N != 2:
@@ -94,15 +98,18 @@ def lambda_block(spec, outer=False):
 
 
 def center_block(spec):
-    """Multiplication by prod_k 1/(phi(d_k x_k) phi(dbar_k x_k))."""
+    """Multiplication by prod_k 1/(phi(d_k x_k) phi(dbar_k x_k)), one
+    variable at a time: the k-th factor e_q(d_k x_k) e_q(dbar_k x_k) is a
+    series in x_k alone, so the N-variable product is never expanded."""
     ps = spec.params
     ctx = _ctx(ps)
-    s = MultiSeries.one(spec.N, spec.cap, ps.field)
+    ops = []
     for k in range(spec.N):
         vec = tuple(1 if p == k else 0 for p in range(spec.N))
-        s = s * eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.d(k), vec)
-        s = s * eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.dbar(k), vec)
-    return mul_op(s)
+        ops.append(mul_op(
+            eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.d(k), vec)
+            * eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.dbar(k), vec)))
+    return compose(ops)
 
 
 def left_block(spec):
@@ -339,7 +346,7 @@ class DefectReport:
         }
 
 
-def verify_conjecture(N, cap, seed=1, mode="rational", form="normal",
+def verify_conjecture(N, cap, seed=1, mode="rational", form=DEFAULT_FORM,
                       gauge_scale=None, params=None):
     """Compute the solution series and report  H psi - psi  degree by
     degree.  ``gauge_scale`` rescales every variable by a common factor,

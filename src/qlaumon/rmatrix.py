@@ -619,7 +619,11 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
 
 def draw_mass_data(rng, field, ctx, N, M, max_tries=50):
     """Masses (with square roots) and a free parameter for the connection
-    problem, redrawing until none of the explicit pole factors vanish."""
+    problem, redrawing until none of the explicit pole factors vanish.
+
+    The last check holds the denominators (lam mu_N q^{-|i|-|k|}; q)_{|i|}
+    of ``phi_kernel_masslike`` in ``closed_matrix``: their factors are
+    1 - lam mu_N q^e with -2M <= e <= -1."""
     for _ in range(max_tries):
         sqrt_mus, mus = [], []
         for _ in range(N):
@@ -633,7 +637,8 @@ def draw_mass_data(rng, field, ctx, N, M, max_tries=50):
         checks = [poch(1 / lam, ctx.q, M),
                   poch(lam * spow(ctx.q, -M + 1), ctx.q, M),
                   poch(prod, ctx.q, M),
-                  poch(prod * spow(ctx.q, -2 * M), ctx.q, 3 * M)]
+                  poch(prod * spow(ctx.q, -2 * M), ctx.q, 3 * M),
+                  poch(lam * mus[-1] * spow(ctx.q, -2 * M), ctx.q, 2 * M)]
         if all(checks):
             return mus, sqrt_mus, lam
     raise RuntimeError("could not draw generic mass data")

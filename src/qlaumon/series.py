@@ -5,8 +5,9 @@ entries >= 0, total degree <= cap) to scalars.  Every operator here
 either preserves or raises total degree, so coefficients up to the cap
 are exact: truncation never corrupts the retained range.
 
-Apart from multiplication by a series, every operator here is one
-``sparse_op``: on x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
+Multiplication by a series pairs each term x^nu only with the terms of
+degree <= cap - |nu|.  Every other operator here is one ``sparse_op``: on
+x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
 ``expand(nu, budget)`` function lists, where budget = cap - |nu| bounds
 |v|, so terms past the cap are never evaluated.  The kinds of expand:
 
@@ -98,12 +99,17 @@ class MultiSeries:
         return out
 
     def __mul__(self, other):
+        """Product truncated at the cap.  The right operand's terms are
+        sorted by total degree, so each left term meets only the terms
+        within its budget cap - |ka|: no pair past the cap is formed."""
         out = MultiSeries(self.N, self.cap, self.field)
+        terms = out.terms
+        cap = self.cap
+        right = sorted(other.terms.items(), key=lambda t: sum(t[0]))
+        degrees = [sum(kb) for kb, _ in right]
         for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                if sum(k) <= self.cap:
-                    add_term(out.terms, k, va * vb)
+            for kb, vb in right[:bisect_right(degrees, cap - sum(ka))]:
+                add_term(terms, tuple(map(add, ka, kb)), va * vb)
         return out
 
     def degrees(self):

@@ -75,9 +75,17 @@ def test_usage_errors_exit_two():
     code, _ = run_cli(["verify", "--n", "1", "--degree", "1",
                        "--out", "/nonexistent/x.json"])
     assert code == 2
-    # seed 4 draws a mass that is a power of q: the closed form divides by zero
-    code, _ = run_cli(["rmatrix", "--n", "2", "--m-total", "1", "--seed", "4"])
-    assert code == 2
+
+
+def test_default_form_leaves_out_file_unchanged(tmp_path):
+    # the report does not echo the form, so the default form changes no
+    # --out file
+    paths = [tmp_path / "default.json", tmp_path / "normal.json"]
+    for path, form in zip(paths, ([], ["--form", "normal"])):
+        code, _ = run_cli(["verify", "--n", "3", "--degree", "4",
+                           "--out", str(path)] + form)
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_prime_mode_reports_prime():
@@ -89,14 +97,17 @@ def test_prime_mode_reports_prime():
 
 
 def test_rmatrix_command():
-    code, out = run_cli(["rmatrix", "--n", "2", "--m-total", "1",
-                         "--emit-matrix"])
-    assert code == 0
-    doc = json.loads(out)
-    names = {c["name"]: c["status"] for c in doc["checks"]}
-    assert names["closed-form-equals-connection"] == "pass"
-    assert names["triangular-zero-pattern"] == "pass"
-    assert len(doc["matrix"]) == 2
+    # seed 4 first draws lam * mu_2 = q, a zero denominator of the closed
+    # form; the draw is rejected and redrawn
+    for seed in ("1", "4"):
+        code, out = run_cli(["rmatrix", "--n", "2", "--m-total", "1",
+                             "--emit-matrix", "--seed", seed])
+        assert code == 0, seed
+        doc = json.loads(out)
+        names = {c["name"]: c["status"] for c in doc["checks"]}
+        assert names["closed-form-equals-connection"] == "pass"
+        assert names["triangular-zero-pattern"] == "pass"
+        assert len(doc["matrix"]) == 2
 
 
 def test_props_suites_pass():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -49,6 +50,26 @@ def test_center_block_first_order_coefficients():
     for k in range(3):
         vec = tuple(1 if p == k else 0 for p in range(3))
         assert out.get(vec) == (ps.d(k) + ps.dbar(k)) / (1 - ps.q)
+
+
+def test_center_block_matches_dense_product():
+    # oracle: multiplication by the dense N-variable product of the 2N
+    # one-variable series, which the block no longer expands
+    rng = random.Random(3)
+    for mode in ("rational", "prime"):
+        for N, cap in ((1, 6), (2, 5), (3, 4), (4, 4)):
+            ps = sample_params(2, N, mode)
+            ctx = QContext(ps.sqrt_q, ps.field)
+            spec = HamiltonianSpec(ps, cap=cap)
+            dense = MultiSeries.one(N, cap, ps.field)
+            for k in range(N):
+                vec = tuple(1 if p == k else 0 for p in range(N))
+                dense = dense * eq_of_monomial(ctx, N, cap, ps.d(k), vec)
+                dense = dense * eq_of_monomial(ctx, N, cap, ps.dbar(k), vec)
+            s = MultiSeries(N, cap, ps.field, {
+                tuple(rng.randrange(2) for _ in range(N)):
+                ps.field.of(rng.randrange(1, 9)) for _ in range(5)})
+            assert center_block(spec)(s) == dense * s
 
 
 def test_hamiltonian_annihilates_zero():
@@ -179,3 +200,15 @@ def test_cyclic_matrix_factorization():
 def test_prime_mode_verification():
     rep = verify_conjecture(2, 3, seed=5, mode="prime")
     assert rep.ok
+
+
+def test_hamiltonian_coefficients_pinned():
+    # sha1 of the sorted terms of H psi, recorded with the dense center
+    # product and the all-pairs series product
+    ps = sample_params(2, 3, "prime")
+    psi = solution_series(ps, 5)
+    for form in ("normal", "simple", "higher"):
+        out = hamiltonian_op(HamiltonianSpec(ps, form, 5))(psi)
+        digest = hashlib.sha1(repr(sorted(
+            (k, v.r) for k, v in out.terms.items())).encode()).hexdigest()
+        assert digest == "39c8f58257ff3af0ffa3289900393504a4fc9a62", form

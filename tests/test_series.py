@@ -5,7 +5,7 @@ import pytest
 
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import RATIONAL, spow
+from qlaumon.scalars import PRIME_FIELD, RATIONAL, spow
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
                             diagonal_op, eq_of_monomial, eq_product_normal_op,
                             exp_series, mul_op,
@@ -326,3 +326,39 @@ def test_single_variable_borel_commutations():
     lhs = compose([cross, x0, cross_inv])
     rhs = compose([x0, p1])
     assert ops_agree_on_monomials(lhs, rhs, 2, 3, 6, f) is None
+
+
+def all_pairs_product(a, b):
+    """Oracle for MultiSeries.__mul__: every pair formed, then cut at the
+    left operand's cap."""
+    terms = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            if sum(k) <= a.cap:
+                terms[k] = terms.get(k, a.field.zero) + va * vb
+    return MultiSeries(a.N, a.cap, a.field, terms)
+
+
+def random_series(rng, N, cap, field, count):
+    """Sparse series whose terms include some of degree exactly cap."""
+    terms = {}
+    for n in range(count):
+        total = cap if n % 3 == 0 else rng.randrange(cap + 1)
+        cuts = sorted(rng.randrange(total + 1) for _ in range(N - 1))
+        k = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+        terms[k] = field.of(Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10),
+                                     rng.randrange(1, 9)))
+    return MultiSeries(N, cap, field, terms)
+
+
+def test_budgeted_product_matches_all_pairs():
+    rng = random.Random(11)
+    for field in (RATIONAL, PRIME_FIELD):
+        for N, cap in ((1, 0), (1, 7), (2, 5), (3, 4), (4, 3)):
+            for _ in range(4):
+                a = random_series(rng, N, cap, field, rng.randrange(1, 12))
+                b = random_series(rng, N, cap, field, rng.randrange(1, 12))
+                assert any(sum(k) == cap for k in a.terms)
+                assert a * b == all_pairs_product(a, b)
+                assert b * a == all_pairs_product(b, a)
