@@ -214,9 +214,9 @@ def laumon_4d(ap, cap):
     """Leading jet of the solution series in the additive parametrization:
     exact rational coefficients.  The h-powers cancel because numerator
     and denominator bracket counts agree pair by pair; this balance is
-    asserted for every tuple.  As in ``nekrasov.tuple_weights``, the
-    argument exponents are computed once and each factor is memoized on
-    (role, i, j, lam, mu) for the length of the call."""
+    asserted for every tuple.  The argument exponents are computed once
+    and each factor is memoized on (role, i, j, lam, mu) for the length
+    of the call."""
     N = ap.N
     out = MultiSeries.zero(N, cap, RATIONAL)
     # a_i/b_j with a_i = q kappa b_{i-1}/d_{i-1}; b_i/c_j with

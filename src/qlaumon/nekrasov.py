@@ -12,12 +12,19 @@ sinh brackets need them.  The partition function is a sum over N-tuples
 of partitions graded by colored box counts; its vector-multiplet
 denominator is nonzero for the generic parameter sets produced by
 ``params.sample_params``.
+
+One build of the partition function memoizes at three levels (see
+``tuple_weights``): the single brackets [u q^{a/2} kappa^{b/2}] of each
+pair argument u on (a, b), the vector-multiplet pair factors on their
+partitions, and the numerator of each slot on (slot, partition).
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .partitions import (colored_counts, conjugate, enumerate_tuples, part)
-from .qfun import QContext, bracket, bracket_base, single_bracket
+from .qfun import QContext, bracket_base, single_bracket
 from .scalars import spow
 from .series import (MultiSeries, add_term, compose, delta_quadratic,
                      eq_of_monomial, exp_series, mul_op, phi_product_normal_op,
@@ -74,34 +81,51 @@ class DegenerateParameters(Exception):
 # -- factor evaluations ----------------------------------------------------
 
 
-def nek_sinh(k, N, lam, mu, sqrt_u, nc):
+def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
     """Color-k sinh-type factor, row-indexed double product.
 
     First product: rows j of lam against the congruence j - i = k (mod N),
     bracket length lam_j - lam_{j+1}; second product: rows beta of mu
     against beta - alpha = -k-1 (mod N), length mu_beta - mu_{beta+1}.
     Rows beyond the diagram lengths contribute empty brackets.
+
+    A bracket [u q^{e/2} kappa^{f/2}; q]_n is the product over t < n of
+    the single brackets [u q^{(e+t)/2} kappa^{f/2}], which are memoized
+    in ``singles`` on (e + t, f): pass one dict per argument sqrt_u to
+    share them across calls, so that each costs one inversion.
     """
     k = k % N
+    if singles is None:
+        singles = {}
+    qpow, kpow = nc.qctx.qpow_half, nc.kctx.qpow_half
     out = nc.field.one
+
+    def times_bracket(out, e, f, n):
+        for a in range(e, e + n):
+            v = singles.get((a, f))
+            if v is None:
+                v = singles[a, f] = single_bracket(sqrt_u * qpow(a) * kpow(f))
+            out = out * v
+        return out
+
+    # 1-based rows padded with zeros: lr[j] = part(lam, j) and
+    # mr[i] = part(mu, i) at every index read below
+    lr = (0,) + tuple(lam) + (0,) * (len(mu) + 1)
+    mr = (0,) + tuple(mu) + (0,) * (len(lam) + 1)
     for j in range(1, len(lam) + 1):
-        n = part(lam, j) - part(lam, j + 1)
+        n = lr[j] - lr[j + 1]
         if n == 0:
             continue
         start = (j - k - 1) % N + 1
         for i in range(start, j + 1, N):
-            arg = sqrt_u * nc.qctx.qpow_half(-part(mu, i) + part(lam, j + 1)) \
-                * nc.kctx.qpow_half(j - i)
-            out = out * bracket(arg, n, nc.qctx)
+            out = times_bracket(out, -mr[i] + lr[j + 1], j - i, n)
     for beta in range(1, len(mu) + 1):
-        n = part(mu, beta) - part(mu, beta + 1)
+        n = mr[beta] - mr[beta + 1]
         if n == 0:
             continue
         start = (beta + k) % N + 1
         for alpha in range(start, beta + 1, N):
-            arg = sqrt_u * nc.qctx.qpow_half(part(lam, alpha) - part(mu, beta)) \
-                * nc.kctx.qpow_half(alpha - beta - 1)
-            out = out * bracket(arg, n, nc.qctx)
+            out = times_bracket(out, lr[alpha] - mr[beta], alpha - beta - 1, n)
     return out
 
 
@@ -253,41 +277,63 @@ def tuple_weights(lp, kind="sinh", pure=False):
     A tuple's weight is the product over slot pairs (i, j), color j - i,
     of n1 n2 / dd: n1 pairs (empty, tup[j]) at a_i/b_j, n2 pairs
     (tup[i], empty) at b_i/c_j and dd, the vector multiplet, pairs
-    (tup[i], tup[j]) at b_i/b_j.  The 3 N^2 arguments are computed once
-    and each factor is memoized on (role, i, j, partition(s)); the memo
-    lives as long as the returned function.  Numerator and denominator
-    are multiplied apart, so a tuple costs one division.  ``pure`` drops
-    the numerator (vector multiplet only)."""
+    (tup[i], tup[j]) at b_i/b_j.  The 3 N^2 arguments are computed once,
+    and three memos live as long as the returned function:
+
+      * single brackets: each argument keeps its own memo of the sinh
+        single brackets its factors multiply (``nek_sinh``'s
+        ``singles``), so each costs one inversion per build;
+      * pair factors: each dd factor is memoized on its two partitions;
+      * slot numerators: the n1 factors with tup[p] = lam (all i) and the
+        n2 factors with tup[p] = lam (all j) depend on slot p alone, so
+        their product is memoized on (p, lam).
+
+    A tuple then costs N slot numerators, N^2 dd factors and one
+    division.  A vanishing dd product raises DegenerateParameters with the
+    first zero pair in row-major order.  ``pure`` drops the numerator
+    (vector multiplet only)."""
     N = lp.N
     nc = lp.nc
     one = nc.field.one
-    nek = nek_sinh if kind == "sinh" else nek_poch_box
 
-    def arg(x, y):
-        r = x / y
-        return r if kind == "sinh" else r * r
+    if kind == "sinh":
+        def pair(x, y, k):
+            sqrt_u, singles = x / y, {}
+            return lambda lam, mu: nek_sinh(k, N, lam, mu, sqrt_u, nc,
+                                            singles=singles)
+    else:
+        def pair(x, y, k):
+            r = x / y
+            u = r * r
+            return lambda lam, mu: nek_poch_box(k, N, lam, mu, u, nc)
 
-    pairs = [(i, j, arg(lp.sqrt_a[i], lp.sqrt_b[j]), arg(lp.sqrt_b[i], lp.sqrt_c[j]),
-              arg(lp.sqrt_b[i], lp.sqrt_b[j])) for i in range(N) for j in range(N)]
-    memo = {}
+    sa, sb, sc = lp.sqrt_a, lp.sqrt_b, lp.sqrt_c
+    n1 = [[pair(sa[i], sb[j], j - i) for j in range(N)] for i in range(N)]
+    n2 = [[pair(sb[i], sc[j], j - i) for j in range(N)] for i in range(N)]
+    dd = [(i, j, cache(pair(sb[i], sb[j], j - i)))
+          for i in range(N) for j in range(N)]
 
-    def factor(role, i, j, lam, mu, u):
-        key = (role, i, j, lam, mu)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = nek(j - i, N, lam, mu, u, nc)
+    @cache
+    def slot_numerator(p, lam):
+        v = one
+        for i in range(N):
+            v = v * n1[i][p]((), lam)
+        for j in range(N):
+            v = v * n2[p][j](lam, ())
         return v
 
     def weight(tup):
-        num = den = one
-        for i, j, u1, u2, ud in pairs:
-            dd = factor("dd", i, j, tup[i], tup[j], ud)
-            if not dd:
-                raise DegenerateParameters(tup, (i + 1, j + 1))
-            den = den * dd
-            if not pure:
-                num = num * factor("n1", i, j, (), tup[j], u1) \
-                    * factor("n2", i, j, tup[i], (), u2)
+        den = one
+        for i, j, factor in dd:
+            den = den * factor(tup[i], tup[j])
+        if not den:
+            for i, j, factor in dd:
+                if not factor(tup[i], tup[j]):
+                    raise DegenerateParameters(tup, (i + 1, j + 1))
+        num = one
+        if not pure:
+            for p, lam in enumerate(tup):
+                num = num * slot_numerator(p, lam)
         return num / den
 
     return weight

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from qlaumon.nekrasov import (DegenerateParameters, LaumonParams,
 from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
                                 partitions_up_to)
-from qlaumon.qfun import single_bracket
+from qlaumon.qfun import bracket, single_bracket
 from qlaumon.scalars import spow
 from qlaumon.series import MultiSeries
 
@@ -65,6 +66,41 @@ def test_row_form_equals_box_form():
             su, _ = rand_square(rng, ps.field)
             assert nek_sinh(k, N, lam, mu, su, lp.nc) == \
                 nek_sinh_box(k, N, lam, mu, su, lp.nc)
+
+
+def row_form_with_brackets(k, N, lam, mu, sqrt_u, nc):
+    """The row-form factor as one q-bracket [u;q]_n per row pair."""
+    k = k % N
+    out = nc.field.one
+    for j in range(1, len(lam) + 1):
+        n = part(lam, j) - part(lam, j + 1)
+        for i in range((j - k - 1) % N + 1, j + 1, N):
+            arg = sqrt_u * spow(nc.sqrt_q, -part(mu, i) + part(lam, j + 1)) \
+                * spow(nc.sqrt_kappa, j - i)
+            out = out * bracket(arg, n, nc.qctx)
+    for beta in range(1, len(mu) + 1):
+        n = part(mu, beta) - part(mu, beta + 1)
+        for alpha in range((beta + k) % N + 1, beta + 1, N):
+            arg = sqrt_u * spow(nc.sqrt_q, part(lam, alpha) - part(mu, beta)) \
+                * spow(nc.sqrt_kappa, alpha - beta - 1)
+            out = out * bracket(arg, n, nc.qctx)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_single_bracket_memo_matches_brackets_and_box_form(mode):
+    # one memo serves every pair, color and rank, so a memo key that
+    # dropped an exponent would hand back a wrong single bracket
+    lp, ps = generic_lp(5, 3, mode)
+    su = lp.sqrt_a[0] / lp.sqrt_b[1]
+    singles = {}
+    for N in (1, 2, 3):
+        for k in range(N):
+            for lam in SMALL:
+                for mu in SMALL:
+                    got = nek_sinh(k, N, lam, mu, su, lp.nc, singles=singles)
+                    assert got == row_form_with_brackets(k, N, lam, mu, su, lp.nc)
+                    assert got == nek_sinh_box(k, N, lam, mu, su, lp.nc)
 
 
 def test_exchange_symmetry_squared():
@@ -202,15 +238,20 @@ def test_partition_function_sum_order_independent():
     assert got == want
 
 
-def test_degenerate_denominator_reported_with_tuple():
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_degenerate_denominator_reported_with_tuple(mode):
     # b_1/b_2 = q kappa puts a vector-multiplet bracket on a pole
-    lp, ps = generic_lp(11, 2)
+    lp, ps = generic_lp(11, 2, mode)
     nc = lp.nc
     bad = LaumonParams(2, lp.nc, lp.sqrt_a,
                        [nc.sqrt_q * nc.sqrt_kappa * lp.sqrt_b[1], lp.sqrt_b[1]],
                        lp.sqrt_c)
     with pytest.raises(DegenerateParameters) as err:
         laumon_partition_function(bad, 2, "sinh")
+    assert err.value.tup == ((), (1,))
+    assert err.value.pair == (1, 2)
+    with pytest.raises(DegenerateParameters) as err:
+        pure_tuple_weight(bad, ((), (1,)), "sinh")
     assert err.value.tup == ((), (1,))
     assert err.value.pair == (1, 2)
 
@@ -245,6 +286,33 @@ def test_memoized_partition_function_matches_plain_sum(N, kind, mode):
     lp = solution_spectral_params(sample_params(31, N, mode))
     assert laumon_partition_function(lp, 4, kind) == \
         plain_partition_function(lp, 4, kind)
+
+
+def series_digest(z):
+    """sha1 of the sorted terms, a coefficient as its residue or as its
+    numerator and denominator."""
+    return hashlib.sha1(repr(sorted(
+        (k, v.r if hasattr(v, "r") else (v.numerator, v.denominator))
+        for k, v in z.terms.items())).encode()).hexdigest()
+
+
+def test_partition_function_coefficients_pinned():
+    # recorded with one q-bracket per row and every factor memoized on
+    # its role, slot pair and partitions
+    pins = {
+        (2, 10, "sinh", "rational"): "8bc6a5839219f1cd75dfc1fa02c9be2a49e6cda2",
+        (2, 10, "sinh", "prime"): "b1b97ec7a2bb2f0a74d3a6815b0bed57211c1467",
+        (3, 6, "sinh", "rational"): "fa6e44f7132af41e6db777c353327175f1094230",
+        (3, 6, "sinh", "prime"): "7f0a7845d083f2e76cec10976c22890986572240",
+        (4, 5, "sinh", "rational"): "cb0aa62d4fce5f5554956593d89c3c092c551c43",
+        (4, 5, "sinh", "prime"): "ba778f49d0da162221f4d44365a9af6153cf5193",
+        (3, 5, "poch", "rational"): "3ba439d76d7fcbc4a5e2e2e5da9f577417233f58",
+        (3, 5, "poch", "prime"): "2824447ac606f698cc9d07cf1c4e8addbf58783e",
+    }
+    for (N, D, kind, mode), want in pins.items():
+        lp = solution_spectral_params(sample_params(2, N, mode))
+        assert series_digest(laumon_partition_function(lp, D, kind)) == want, \
+            (N, D, kind, mode)
 
 
 def test_solution_series_rank_one_closed_form():
