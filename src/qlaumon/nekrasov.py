@@ -14,9 +14,11 @@ denominator is nonzero for the generic parameter sets produced by
 ``params.sample_params``.
 
 One build of the partition function memoizes at three levels (see
-``tuple_weights``): the single brackets [u q^{a/2} kappa^{b/2}] of each
-pair argument u on (a, b), the vector-multiplet pair factors on their
-partitions, and the numerator of each slot on (slot, partition).
+``tuple_weights``): the single factors of each pair argument u on (a, b)
+(brackets [u q^{a/2} kappa^{b/2}], or 1 - u q^a kappa^b), the
+vector-multiplet pair factors on their partitions, and the numerator of
+each slot on (slot, partition).  The memos hold the field's raw form
+(``scalars.Field``): plain residues in GF(p).
 """
 
 from __future__ import annotations
@@ -81,31 +83,29 @@ class DegenerateParameters(Exception):
 # -- factor evaluations ----------------------------------------------------
 
 
-def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
-    """Color-k sinh-type factor, row-indexed double product.
+def _row_product(k, N, lam, mu, single, singles, field):
+    """Product of the single factors single(a, f) of the color-k pair
+    (lam, mu), row by row, in the raw form of ``field`` (``Field.raw``).
 
     First product: rows j of lam against the congruence j - i = k (mod N),
-    bracket length lam_j - lam_{j+1}; second product: rows beta of mu
-    against beta - alpha = -k-1 (mod N), length mu_beta - mu_{beta+1}.
-    Rows beyond the diagram lengths contribute empty brackets.
-
-    A bracket [u q^{e/2} kappa^{f/2}; q]_n is the product over t < n of
-    the single brackets [u q^{(e+t)/2} kappa^{f/2}], which are memoized
-    in ``singles`` on (e + t, f): pass one dict per argument sqrt_u to
-    share them across calls, so that each costs one inversion.
+    n = lam_j - lam_{j+1} factors; second product: rows beta of mu
+    against beta - alpha = -k-1 (mod N), n = mu_beta - mu_{beta+1}
+    factors.  Rows beyond the diagram lengths contribute nothing.  The
+    factors of a row pair sit at (e + t, f), t < n, for one (e, f); each
+    is memoized in ``singles`` (a dict, or None for a fresh one) on its
+    (a, f).
     """
-    k = k % N
     if singles is None:
         singles = {}
-    qpow, kpow = nc.qctx.qpow_half, nc.kctx.qpow_half
-    out = nc.field.one
+    reduce = field.reduce
+    out = field.raw(field.one)
 
-    def times_bracket(out, e, f, n):
+    def times_row(out, e, f, n):
         for a in range(e, e + n):
             v = singles.get((a, f))
             if v is None:
-                v = singles[a, f] = single_bracket(sqrt_u * qpow(a) * kpow(f))
-            out = out * v
+                v = singles[a, f] = single(a, f)
+            out = reduce(out * v)
         return out
 
     # 1-based rows padded with zeros: lr[j] = part(lam, j) and
@@ -118,15 +118,47 @@ def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
             continue
         start = (j - k - 1) % N + 1
         for i in range(start, j + 1, N):
-            out = times_bracket(out, -mr[i] + lr[j + 1], j - i, n)
+            out = times_row(out, -mr[i] + lr[j + 1], j - i, n)
     for beta in range(1, len(mu) + 1):
         n = mr[beta] - mr[beta + 1]
         if n == 0:
             continue
         start = (beta + k) % N + 1
         for alpha in range(start, beta + 1, N):
-            out = times_bracket(out, lr[alpha] - mr[beta], alpha - beta - 1, n)
+            out = times_row(out, lr[alpha] - mr[beta], alpha - beta - 1, n)
     return out
+
+
+def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
+    """Color-k sinh-type factor, row-indexed double product, in the raw
+    form of the field (``Field.raw``; ``Field.wrap`` gives the scalar).
+
+    Each row pair contributes a bracket [u q^{e/2} kappa^{f/2}; q]_n,
+    the product over t < n of the single brackets
+    [u q^{(e+t)/2} kappa^{f/2}] (see ``_row_product``).  They are
+    memoized in ``singles`` on (e + t, f): pass one dict per argument
+    sqrt_u to share them across calls, so that each costs one inversion.
+    """
+    qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, nc.field.raw
+
+    def single(a, f):
+        return raw(single_bracket(sqrt_u * qpow(a) * kpow(f)))
+
+    return _row_product(k % N, N, lam, mu, single, singles, nc.field)
+
+
+def nek_poch(k, N, lam, mu, u, nc, singles=None):
+    """Color-k Pochhammer-type factor, row-indexed, in the raw form of the
+    field: the factors of ``nek_sinh`` with each single bracket [x]
+    replaced by 1 - x.  ``singles`` memoizes them as in ``nek_sinh``;
+    ``nek_poch_box`` is the box-indexed form."""
+    qpow, kpow = nc.qctx.qpow_half, nc.kctx.qpow_half
+    one, raw = nc.field.one, nc.field.raw
+
+    def single(a, f):
+        return raw(one - u * qpow(2 * a) * kpow(2 * f))
+
+    return _row_product(k % N, N, lam, mu, single, singles, nc.field)
 
 
 def _boxes_with_colors(lam):
@@ -280,21 +312,25 @@ def tuple_weights(lp, kind="sinh", pure=False):
     (tup[i], tup[j]) at b_i/b_j.  The 3 N^2 arguments are computed once,
     and three memos live as long as the returned function:
 
-      * single brackets: each argument keeps its own memo of the sinh
-        single brackets its factors multiply (``nek_sinh``'s
-        ``singles``), so each costs one inversion per build;
+      * single factors: each argument keeps its own memo of the single
+        brackets (or Pochhammer factors) its factors multiply
+        (``nek_sinh``'s ``singles``), so each costs one inversion per
+        build;
       * pair factors: each dd factor is memoized on its two partitions;
       * slot numerators: the n1 factors with tup[p] = lam (all i) and the
         n2 factors with tup[p] = lam (all j) depend on slot p alone, so
         their product is memoized on (p, lam).
 
-    A tuple then costs N slot numerators, N^2 dd factors and one
-    division.  A vanishing dd product raises DegenerateParameters with the
-    first zero pair in row-major order.  ``pure`` drops the numerator
-    (vector multiplet only)."""
+    The memos and the products hold the field's raw form (``Field.raw``)
+    and only the weight returned is a scalar.  A tuple then costs N slot
+    numerators, N^2 dd factors and one division.  A vanishing dd product
+    raises DegenerateParameters with the first zero pair in row-major
+    order.  ``pure`` drops the numerator (vector multiplet only)."""
     N = lp.N
     nc = lp.nc
-    one = nc.field.one
+    field = nc.field
+    reduce, wrap = field.reduce, field.wrap
+    one = field.raw(field.one)
 
     if kind == "sinh":
         def pair(x, y, k):
@@ -303,9 +339,10 @@ def tuple_weights(lp, kind="sinh", pure=False):
                                             singles=singles)
     else:
         def pair(x, y, k):
-            r = x / y
+            r, singles = x / y, {}
             u = r * r
-            return lambda lam, mu: nek_poch_box(k, N, lam, mu, u, nc)
+            return lambda lam, mu: nek_poch(k, N, lam, mu, u, nc,
+                                            singles=singles)
 
     sa, sb, sc = lp.sqrt_a, lp.sqrt_b, lp.sqrt_c
     n1 = [[pair(sa[i], sb[j], j - i) for j in range(N)] for i in range(N)]
@@ -317,15 +354,15 @@ def tuple_weights(lp, kind="sinh", pure=False):
     def slot_numerator(p, lam):
         v = one
         for i in range(N):
-            v = v * n1[i][p]((), lam)
+            v = reduce(v * n1[i][p]((), lam))
         for j in range(N):
-            v = v * n2[p][j](lam, ())
+            v = reduce(v * n2[p][j](lam, ()))
         return v
 
     def weight(tup):
         den = one
         for i, j, factor in dd:
-            den = den * factor(tup[i], tup[j])
+            den = reduce(den * factor(tup[i], tup[j]))
         if not den:
             for i, j, factor in dd:
                 if not factor(tup[i], tup[j]):
@@ -333,8 +370,8 @@ def tuple_weights(lp, kind="sinh", pure=False):
         num = one
         if not pure:
             for p, lam in enumerate(tup):
-                num = num * slot_numerator(p, lam)
-        return num / den
+                num = reduce(num * slot_numerator(p, lam))
+        return wrap(num) / wrap(den)
 
     return weight
 

@@ -111,27 +111,14 @@ def _draw_sqrt(rng, field):
     return fr
 
 
-def _lattice(q, kappa, bound):
-    """The finite set {q^a kappa^c : |a|, |c| <= bound}."""
-    out = set()
-    qa = spow(q, -bound)
-    for _ in range(2 * bound + 1):
-        v = qa * spow(kappa, -bound)
-        for _ in range(2 * bound + 1):
-            out.add(v)
-            v = v * kappa
-        qa = qa * q
-    return out
-
-
 def sample_params(seed, N, mode="rational", bound=GENERICITY_BOUND):
     """Deterministic generic ParamSet for the given (seed, N, mode).
 
     mode is "rational", "prime" or "jet".  Rejection sampling enforces:
-    all base parameters pairwise distinct and outside {0, +-1}; q not a
-    root of unity (automatic for |q| != 1 in rational mode, checked on a
-    bounded window in prime mode); ratios of the b_i off the bounded
-    q-kappa lattice.
+    all base parameters pairwise distinct and outside {0, +-1}; no
+    relation q^a kappa^c = 1 on a bounded window (so q is not a root of
+    unity there); ratios of the b_i off the bounded q-kappa lattice (see
+    ``_generic_enough``).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -151,6 +138,15 @@ def sample_params(seed, N, mode="rational", bound=GENERICITY_BOUND):
 
 
 def _generic_enough(ps, bound):
+    """Whether the base parameters are pairwise distinct and outside
+    {0, +-1}, q^a kappa^c != 1 for 0 < max(|a|, |c|) <= 2 bound, and no
+    ratio b_i/b_j (i != j) is q^a kappa^c with |a|, |c| <= bound.
+
+    The second condition says that the points q^a kappa^c, |a|, |c| <=
+    bound, are distinct (it covers the sinh-bracket poles of the vector
+    multiplet denominators within the degree window, and q not a root of
+    unity); the third keeps b_i/b_j off those points.  Both are answered
+    from the powers of kappa alone, without listing the points."""
     one = ps.field.one
     base = [ps.q, ps.kappa] + [ps.b(i) for i in range(ps.N)] \
         + [ps.d(i) for i in range(ps.N)] + [ps.dbar(i) for i in range(ps.N)]
@@ -160,21 +156,36 @@ def _generic_enough(ps, bound):
         for v in base[i + 1:]:
             if u == v:
                 return False
-    # q not a root of unity on the test window (only matters mod p).
-    v = one
+    q, kappa = ps.q, ps.kappa
+    # kappa^c for c = 0..2 bound, then the negative powers
+    kpow = [one]
     for _ in range(2 * bound):
-        v = v * ps.q
-        if v == one:
-            return False
-    lat = _lattice(ps.q, ps.kappa, bound)
-    # kappa^c q^a != 1 for (a, c) != (0, 0): covers the sinh-bracket poles
-    # of the vector multiplet denominators within the degree window.
-    count_one = sum(1 for w in lat if w == one)
-    if count_one != 1 or len(lat) != (2 * bound + 1) ** 2:
+        kpow.append(kpow[-1] * kappa)
+    if one in kpow[1:]:
         return False
+    inv_kappa = 1 / kappa
+    kneg = [one]
+    for _ in range(2 * bound):
+        kneg.append(kneg[-1] * inv_kappa)
+    # q^a kappa^c = 1 with a != 0: up to the sign of (a, c), a > 0 and
+    # q^a = kappa^{-c}
+    wide = set(kpow) | set(kneg)
+    qa = one
+    for _ in range(2 * bound):
+        qa = qa * q
+        if qa in wide:
+            return False
+    # b_i/b_j = q^a kappa^c, or b_j/b_i = q^{-a} kappa^{-c}: one test per
+    # unordered pair, b_i/b_j q^{-a} against the kappa^c, |c| <= bound
+    narrow = set(kpow[:bound + 1]) | set(kneg[:bound + 1])
+    inv_q = 1 / q
+    qshift = [spow(q, bound)]
+    for _ in range(2 * bound):
+        qshift.append(qshift[-1] * inv_q)
     for i in range(ps.N):
-        for j in range(ps.N):
-            if i != j and ps.b(i) / ps.b(j) in lat:
+        for j in range(i + 1, ps.N):
+            r = ps.b(i) / ps.b(j)
+            if any(r * s in narrow for s in qshift):
                 return False
     return True
 

@@ -90,7 +90,12 @@ def enumerate_tuples(N, degree_cap):
 
     The colored degree of a tuple is sum_i k_i, which equals its total box
     count, so this enumerates tuples with at most degree_cap boxes.  The
-    order is deterministic (graded, lexicographic within a grade).
+    order is slot-major and not graded: the first slot runs through its
+    partitions by size (each size in ``partitions_of`` order), and for
+    each of them the remaining slots run through theirs, in the same
+    order, within the boxes left.  At N = 2, cap 2 the box counts run
+    0, 1, 2, 2, 1, 2, 2, 2.  A tuple's parent, the tuple less the last
+    box of its last nonempty slot, therefore comes before it.
     """
     def rec(slots, budget):
         if slots == 0:

@@ -24,15 +24,26 @@ from fractions import Fraction
 PRIME = 2305843009213693951
 
 
+_new_object = object.__new__
+
+
 class PrimeScalar:
-    """Element of GF(PRIME)."""
+    """Element of GF(PRIME).  Immutable: ``r`` is never reassigned."""
 
     __slots__ = ("r",)
 
     def __init__(self, r):
         self.r = r % PRIME
 
+    # +, - and * between two PrimeScalars skip the coercion and the
+    # constructor's modulo: both residues are already in [0, PRIME).
+
     def __add__(self, other):
+        if other.__class__ is PrimeScalar:
+            out = _new_object(PrimeScalar)
+            r = self.r + other.r
+            out.r = r - PRIME if r >= PRIME else r
+            return out
         other = _as_prime(other)
         if other is NotImplemented:
             return NotImplemented
@@ -41,6 +52,11 @@ class PrimeScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is PrimeScalar:
+            out = _new_object(PrimeScalar)
+            r = self.r - other.r
+            out.r = r + PRIME if r < 0 else r
+            return out
         other = _as_prime(other)
         if other is NotImplemented:
             return NotImplemented
@@ -53,6 +69,10 @@ class PrimeScalar:
         return PrimeScalar(other.r - self.r)
 
     def __mul__(self, other):
+        if other.__class__ is PrimeScalar:
+            out = _new_object(PrimeScalar)
+            out.r = self.r * other.r % PRIME
+            return out
         other = _as_prime(other)
         if other is NotImplemented:
             return NotImplemented
@@ -207,12 +227,28 @@ def _as_jet(x):
 
 
 class Field:
-    """Tiny context object: builds constants in one of the scalar domains."""
+    """Tiny context object: builds constants in one of the scalar domains,
+    and converts to and from the raw form of its hot loops.
+
+    The raw form of a GF(p) scalar is its residue, a plain int: ``raw``
+    takes a scalar to it, ``reduce`` brings the product of two raw values
+    back into [0, PRIME), and ``wrap`` turns a raw value into a scalar
+    again.  Over Q and over jets all three are the identity, so code
+    written on raw values runs unchanged in every field.
+    """
 
     def __init__(self, name):
         if name not in ("rational", "prime", "jet"):
             raise ValueError("unknown field mode %r" % name)
         self.name = name
+        self.zero = self.of(0)
+        self.one = self.of(1)
+        if name == "prime":
+            self.raw = _residue_of
+            self.reduce = _mod_prime
+            self.wrap = PrimeScalar
+        else:
+            self.raw = self.reduce = self.wrap = _identity
 
     def of(self, n):
         """Embed an integer (or Fraction, in rational/jet mode)."""
@@ -224,13 +260,17 @@ class Field:
             return PrimeScalar(n)
         return Jet(n)
 
-    @property
-    def zero(self):
-        return self.of(0)
 
-    @property
-    def one(self):
-        return self.of(1)
+def _residue_of(x):
+    return x.r
+
+
+def _mod_prime(v):
+    return v % PRIME
+
+
+def _identity(x):
+    return x
 
 
 RATIONAL = Field("rational")

@@ -10,8 +10,8 @@ from qlaumon.nekrasov import (DegenerateParameters, LaumonParams,
                               gl1_closed_solution, infprod_double_ratio,
                               laumon_partition_function, nek_bracket_count,
                               nek_context, nek_matter_anti, nek_matter_fund,
-                              nek_poch_box, nek_sinh, nek_sinh_box,
-                              pure_tuple_weight, solution_series,
+                              nek_poch, nek_poch_box, nek_sinh,
+                              nek_sinh_box, pure_tuple_weight, solution_series,
                               solution_spectral_params, tuple_weights)
 from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
@@ -98,9 +98,27 @@ def test_single_bracket_memo_matches_brackets_and_box_form(mode):
         for k in range(N):
             for lam in SMALL:
                 for mu in SMALL:
-                    got = nek_sinh(k, N, lam, mu, su, lp.nc, singles=singles)
+                    got = ps.field.wrap(nek_sinh(k, N, lam, mu, su, lp.nc,
+                                                 singles=singles))
                     assert got == row_form_with_brackets(k, N, lam, mu, su, lp.nc)
                     assert got == nek_sinh_box(k, N, lam, mu, su, lp.nc)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_poch_memo_matches_box_form(mode):
+    # the memoized row form of the Pochhammer factor against the box form,
+    # one memo across pairs, colors and ranks as in tuple_weights
+    lp, ps = generic_lp(5, 3, mode)
+    r = lp.sqrt_b[0] / lp.sqrt_c[2]
+    u = r * r
+    singles = {}
+    for N in (1, 2, 3):
+        for k in range(N):
+            for lam in SMALL:
+                for mu in SMALL:
+                    got = nek_poch(k, N, lam, mu, u, lp.nc, singles=singles)
+                    assert ps.field.wrap(got) == nek_poch_box(k, N, lam, mu,
+                                                              u, lp.nc)
 
 
 def test_exchange_symmetry_squared():

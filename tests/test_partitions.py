@@ -81,6 +81,29 @@ def test_enumerate_deterministic_and_duplicate_free():
     assert len(set(run1)) == len(run1)
 
 
+def parent(tup):
+    """The tuple less the last box (end of the last row) of its last
+    nonempty slot."""
+    p = max(i for i, lam in enumerate(tup) if lam)
+    lam = tup[p]
+    less = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+    return tup[:p] + (less,) + tup[p + 1:]
+
+
+def test_enumerate_order_is_slot_major():
+    assert [sum(map(size, t)) for t in enumerate_tuples(2, 2)] == \
+        [0, 1, 2, 2, 1, 2, 2, 2]
+
+
+def test_enumerate_yields_parents_first():
+    for N, cap in ((2, 7), (3, 5), (4, 4)):
+        seen = set()
+        for tup in enumerate_tuples(N, cap):
+            if any(tup):
+                assert parent(tup) in seen, tup
+            seen.add(tup)
+
+
 def test_shifted_residues_match_column_end_colors():
     # component lengths (5,3,2,1,1): conjugate (5,3,2,1,1), residues shift by i-1
     tup = ((5, 3, 2, 1, 1), (4, 2, 2, 1), (2, 2, 1))

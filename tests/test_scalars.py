@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from qlaumon.scalars import (Jet, PRIME, PrimeScalar, spow)
+from qlaumon.scalars import FIELDS, Jet, PRIME, PrimeScalar, spow
 from qlaumon.params import sample_params
 
 
@@ -133,3 +134,56 @@ def test_t_accessor_is_inverse_kappa_power():
 def test_prime_mode_elements_live_in_prime_field():
     ps = sample_params(5, 2, "prime")
     assert isinstance(ps.q, PrimeScalar)
+
+
+residues = st.integers(min_value=0, max_value=PRIME - 1)
+# plain ints of either sign and any size, as mixed operands
+ints = st.integers(min_value=-4 * PRIME, max_value=4 * PRIME)
+
+
+@given(residues, residues, residues)
+def test_prime_ring_axioms(a, b, c):
+    x, y, z = PrimeScalar(a), PrimeScalar(b), PrimeScalar(c)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - y + y == x and x + (-x) == 0 and x * 1 == x
+
+
+@given(residues, residues)
+@example(PRIME - 1, 1)  # the sum is PRIME itself
+@example(0, PRIME - 1)
+def test_prime_same_type_ops_agree_with_int_arithmetic(a, b):
+    x, y = PrimeScalar(a), PrimeScalar(b)
+    for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+        assert type(got) is PrimeScalar
+        assert 0 <= got.r < PRIME and got.r == want % PRIME
+
+
+@given(residues, ints)
+def test_prime_mixed_int_ops_agree_with_int_arithmetic(a, n):
+    x = PrimeScalar(a)
+    for got, want in ((x + n, a + n), (n + x, n + a), (x - n, a - n),
+                      (n - x, n - a), (x * n, a * n), (n * x, n * a)):
+        assert type(got) is PrimeScalar
+        assert 0 <= got.r < PRIME and got.r == want % PRIME
+    assert (x == n) == ((a - n) % PRIME == 0)
+
+
+@given(ints)
+def test_prime_constructor_reduces_into_range(n):
+    assert 0 <= PrimeScalar(n).r < PRIME
+    assert PrimeScalar(n).r == n % PRIME
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+def test_field_raw_form_round_trips(mode):
+    # raw values multiply and reduce to the raw form of the scalar product
+    f = FIELDS[mode]
+    assert f.one is f.one and f.zero is f.zero
+    rng = random.Random(mode)
+    xs = [f.of(rng.randrange(-50, 50)) + f.of(Fraction(1, 7)) for _ in range(20)]
+    for x, y in zip(xs, xs[1:]):
+        assert f.wrap(f.raw(x)) == x
+        assert f.wrap(f.reduce(f.raw(x) * f.raw(y))) == x * y
+    assert f.raw(f.one) == 1 and not f.raw(f.zero)
