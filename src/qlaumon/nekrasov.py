@@ -17,8 +17,10 @@ One build of the partition function memoizes at three levels (see
 ``tuple_weights``): the single factors of each pair argument u on (a, b)
 (brackets [u q^{a/2} kappa^{b/2}], or 1 - u q^a kappa^b), the
 vector-multiplet pair factors on their partitions, and the numerator of
-each slot on (slot, partition).  The memos hold the field's raw form
-(``scalars.Field``): plain residues in GF(p).
+each slot on (slot, partition).  The memos and the products hold the
+field's raw form (``scalars.Field``): plain residues in GF(p), and over Q
+(numerator, denominator) pairs of ints multiplied apart and never
+cancelled, so that a tuple's one division is its only gcd.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _row_product(k, N, lam, mu, single, singles, field):
     """
     if singles is None:
         singles = {}
-    reduce = field.reduce
+    mul = field.mul
     out = field.raw(field.one)
 
     def times_row(out, e, f, n):
@@ -105,7 +107,7 @@ def _row_product(k, N, lam, mu, single, singles, field):
             v = singles.get((a, f))
             if v is None:
                 v = singles[a, f] = single(a, f)
-            out = reduce(out * v)
+            out = mul(out, v)
         return out
 
     # 1-based rows padded with zeros: lr[j] = part(lam, j) and
@@ -321,15 +323,19 @@ def tuple_weights(lp, kind="sinh", pure=False):
         n2 factors with tup[p] = lam (all j) depend on slot p alone, so
         their product is memoized on (p, lam).
 
-    The memos and the products hold the field's raw form (``Field.raw``)
-    and only the weight returned is a scalar.  A tuple then costs N slot
-    numerators, N^2 dd factors and one division.  A vanishing dd product
-    raises DegenerateParameters with the first zero pair in row-major
-    order.  ``pure`` drops the numerator (vector multiplet only)."""
+    The memos and the products hold the field's raw form (``Field.raw``),
+    multiplied with ``Field.mul``: residues in GF(p), unreduced
+    (numerator, denominator) pairs over Q.  Only the weight returned is a
+    scalar: a tuple costs N slot numerators, N^2 dd factors and one
+    ``wrap(num) / wrap(den)``, over Q its only gcd.  A vanishing dd
+    product raises DegenerateParameters with the first zero pair in
+    row-major order; zero is tested on the wrapped value, since a raw pair
+    (0, d) is truthy.  ``pure`` drops the numerator (vector multiplet
+    only)."""
     N = lp.N
     nc = lp.nc
     field = nc.field
-    reduce, wrap = field.reduce, field.wrap
+    mul, wrap = field.mul, field.wrap
     one = field.raw(field.one)
 
     if kind == "sinh":
@@ -354,24 +360,25 @@ def tuple_weights(lp, kind="sinh", pure=False):
     def slot_numerator(p, lam):
         v = one
         for i in range(N):
-            v = reduce(v * n1[i][p]((), lam))
+            v = mul(v, n1[i][p]((), lam))
         for j in range(N):
-            v = reduce(v * n2[p][j](lam, ()))
+            v = mul(v, n2[p][j](lam, ()))
         return v
 
     def weight(tup):
         den = one
         for i, j, factor in dd:
-            den = reduce(den * factor(tup[i], tup[j]))
+            den = mul(den, factor(tup[i], tup[j]))
+        den = wrap(den)
         if not den:
             for i, j, factor in dd:
-                if not factor(tup[i], tup[j]):
+                if not wrap(factor(tup[i], tup[j])):
                     raise DegenerateParameters(tup, (i + 1, j + 1))
         num = one
         if not pure:
             for p, lam in enumerate(tup):
-                num = reduce(num * slot_numerator(p, lam))
-        return wrap(num) / wrap(den)
+                num = mul(num, slot_numerator(p, lam))
+        return wrap(num) / den
 
     return weight
 

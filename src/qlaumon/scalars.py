@@ -18,6 +18,7 @@ the usual polynomial-identity-testing sense.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 # Mersenne prime 2^61 - 1; comfortably above 2^60 so degree-bounded
 # identity tests have negligible collision probability.
@@ -230,11 +231,17 @@ class Field:
     """Tiny context object: builds constants in one of the scalar domains,
     and converts to and from the raw form of its hot loops.
 
-    The raw form of a GF(p) scalar is its residue, a plain int: ``raw``
-    takes a scalar to it, ``reduce`` brings the product of two raw values
-    back into [0, PRIME), and ``wrap`` turns a raw value into a scalar
-    again.  Over Q and over jets all three are the identity, so code
-    written on raw values runs unchanged in every field.
+    ``raw`` takes a scalar to its raw form, ``mul`` multiplies two raw
+    values and ``wrap`` turns a raw value into a scalar again:
+
+      * GF(p): the residue, a plain int; ``mul`` is a*b % PRIME.
+      * Q: the pair (numerator, denominator) of ints; ``mul`` multiplies
+        the two components apart and cancels nothing, so only ``wrap``
+        (one Fraction, one gcd) reduces.  A raw pair (0, d) is truthy:
+        test ``wrap(v)``, not ``v``, for zero.
+      * jets: the scalar itself; ``mul`` is ``*``.
+
+    Code written on raw values thus runs unchanged in every field.
     """
 
     def __init__(self, name):
@@ -244,11 +251,12 @@ class Field:
         self.zero = self.of(0)
         self.one = self.of(1)
         if name == "prime":
-            self.raw = _residue_of
-            self.reduce = _mod_prime
-            self.wrap = PrimeScalar
+            self.raw, self.mul, self.wrap = _residue_of, _mul_mod, PrimeScalar
+        elif name == "rational":
+            self.raw, self.mul, self.wrap = _pair_of, _mul_pairs, _fraction_of
         else:
-            self.raw = self.reduce = self.wrap = _identity
+            self.raw = self.wrap = _identity
+            self.mul = mul
 
     def of(self, n):
         """Embed an integer (or Fraction, in rational/jet mode)."""
@@ -265,8 +273,20 @@ def _residue_of(x):
     return x.r
 
 
-def _mod_prime(v):
-    return v % PRIME
+def _mul_mod(a, b):
+    return a * b % PRIME
+
+
+def _pair_of(x):
+    return x.numerator, x.denominator
+
+
+def _mul_pairs(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _fraction_of(p):
+    return Fraction(p[0], p[1])
 
 
 def _identity(x):

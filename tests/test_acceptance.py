@@ -164,15 +164,15 @@ def test_criterion_09_factor_identities():
             mu = small[rng.randrange(len(small))]
             k = rng.randrange(N)
             su, _ = rand_square(rng, ps.field)
-            lhs = nek_sinh(k, N, lam, mu, su, nc)
-            rhs = nek_sinh(N - k - 1, N, mu, lam,
-                           nc.sqrt_q * nc.sqrt_kappa / su, nc)
+            lhs = nc.field.wrap(nek_sinh(k, N, lam, mu, su, nc))
+            rhs = nc.field.wrap(nek_sinh(N - k - 1, N, mu, lam,
+                                         nc.sqrt_q * nc.sqrt_kappa / su, nc))
             ok = ok and lhs * lhs == rhs * rhs
             f = nek_matter_fund(lam, k, su, nc, N)
-            s = nek_sinh(k, N, lam, (), su, nc)
+            s = nc.field.wrap(nek_sinh(k, N, lam, (), su, nc))
             ok = ok and f * f == s * s
             fa = nek_matter_anti(mu, k, su, nc, N)
-            sa = nek_sinh(k, N, (), mu, su, nc)
+            sa = nc.field.wrap(nek_sinh(k, N, (), mu, su, nc))
             ok = ok and fa * fa == sa * sa
     report("9: factor identities x100", t0, ok)
 

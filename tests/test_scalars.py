@@ -178,12 +178,47 @@ def test_prime_constructor_reduces_into_range(n):
 
 @pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
 def test_field_raw_form_round_trips(mode):
-    # raw values multiply and reduce to the raw form of the scalar product
+    # raw values multiply to the raw form of the scalar product
     f = FIELDS[mode]
     assert f.one is f.one and f.zero is f.zero
     rng = random.Random(mode)
     xs = [f.of(rng.randrange(-50, 50)) + f.of(Fraction(1, 7)) for _ in range(20)]
     for x, y in zip(xs, xs[1:]):
         assert f.wrap(f.raw(x)) == x
-        assert f.wrap(f.reduce(f.raw(x) * f.raw(y))) == x * y
-    assert f.raw(f.one) == 1 and not f.raw(f.zero)
+        assert f.wrap(f.mul(f.raw(x), f.raw(y))) == x * y
+    assert f.wrap(f.raw(f.one)) == f.one and not f.wrap(f.raw(f.zero))
+
+
+# rationals of either sign, zero among them, of heights up to 2^128;
+# no denominator is a multiple of PRIME, so each one embeds in GF(p)
+fractions = st.builds(Fraction, st.integers(-2 ** 128, 2 ** 128),
+                      st.integers(1, 2 ** 128).filter(lambda d: d % PRIME))
+
+
+def field_scalar(f, a, b):
+    """a in the field f; over jets a + b*h, so the h-part is covered too."""
+    return Jet(a, b) if f.name == "jet" else f.of(a)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+@given(fractions, fractions, fractions, fractions)
+@example(Fraction(0), Fraction(0), Fraction(-3, 7), Fraction(5))
+@example(Fraction(-2 ** 128, 3), Fraction(1), Fraction(0), Fraction(-1))
+def test_raw_product_is_field_product(mode, a, b, c, d):
+    f = FIELDS[mode]
+    x, y = field_scalar(f, a, b), field_scalar(f, c, d)
+    assert f.wrap(f.raw(x)) == x
+    assert f.wrap(f.mul(f.raw(x), f.raw(y))) == x * y
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+@given(st.lists(fractions, min_size=25, max_size=35))
+def test_raw_product_chain_is_fraction_product(mode, chain):
+    # a chain as long as the row walk of a large factor, never reduced
+    # on the way; its value is the Fraction product of the factors
+    f = FIELDS[mode]
+    acc, want = f.raw(f.one), Fraction(1)
+    for a in chain:
+        acc = f.mul(acc, f.raw(f.of(a)))
+        want *= a
+    assert f.wrap(acc) == f.of(want)

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import PRIME_FIELD, RATIONAL, spow
+from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL, spow
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
                             diagonal_op, eq_of_monomial, eq_product_normal_op,
                             exp_series, mul_op,
@@ -304,6 +305,28 @@ def test_exp_and_inverse_series():
     assert e.get((0,)) == 1
     loge_back = series_inverse(e) * e
     assert loge_back == MultiSeries.one(1, 6, f)
+
+
+@st.composite
+def sparse_series(draw):
+    """A sparse series over Q or GF(p) in N = 1..3 variables, cap <= 5,
+    with a nonzero constant term."""
+    f = FIELDS[draw(st.sampled_from(["rational", "prime"]))]
+    N = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 5))
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20))
+    exps = draw(st.lists(st.sampled_from(all_monomials(N, cap)), max_size=8))
+    terms = {e: f.of(draw(coeff)) for e in exps}
+    terms[(0,) * N] = f.of(draw(coeff.filter(bool)))
+    return MultiSeries(N, cap, f, terms)
+
+
+@given(sparse_series())
+def test_series_inverse_is_two_sided_inverse(s):
+    inv = series_inverse(s)
+    one = MultiSeries.one(s.N, s.cap, s.field)
+    assert inv * s == one
+    assert s * inv == one
 
 
 def test_single_variable_borel_commutations():
