@@ -388,12 +388,12 @@ def check_form_equivalence(N, degree, seed=1, mode="rational"):
 def check_pentagon(N, degree, seed=1, mode="rational"):
     """e_q(-v_i) e_q(-v_{i+1}) = e_q(-v_{i+1}) e_q(-v_{i+1} v_i) e_q(-v_i)
     for every adjacent pair of hat letters (N >= 3; empty for N = 2)."""
+    if N < 3:
+        return []
     ps = sample_params(seed, N, mode)
     spec = HamiltonianSpec(ps, "simple", degree)
     sc = _hat_scales(spec)
     bad = []
-    if N < 3:
-        return bad
     for i in range(N):
         lhs = compose([_eq_w(spec, [i], +1, sc), _eq_w(spec, [i + 1], +1, sc)])
         rhs = compose([_eq_w(spec, [i + 1], +1, sc),
@@ -440,12 +440,12 @@ def check_dynkin_family(N, degree, seed=1, mode="rational"):
     block family is invariant under the index rotation and under the
     order-reversing reflection, which maps the lower family at i to the
     upper family at -i."""
+    if N < 3:
+        return []
     ps = sample_params(seed, N, mode)
     spec = HamiltonianSpec(ps, "simple", degree)
     sc = _hat_scales(spec)
     bad = []
-    if N < 3:
-        return bad
     ref = _family_conjugated(spec, 0, sc)
     for i in range(N):
         for tag, op in (("conjugated", _family_conjugated(spec, i, sc)),

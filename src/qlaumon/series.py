@@ -25,11 +25,13 @@ wraps to N-1).
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
+from functools import lru_cache
 from math import factorial
 from operator import add, mul
 
-from .scalars import spow
+from .scalars import PRIME, spow
 
 
 class MultiSeries:
@@ -460,9 +462,40 @@ def all_monomials(N, degree):
     return exponent_vectors((0,) * N, (degree,) * N, degree)
 
 
+def probe_series(N, degree, cap, field):
+    """The sum of every basis monomial of degree <= degree, each with a
+    weight in [1, 2^61 - 1) drawn by a ``random.Random`` seeded on
+    (N, degree, cap), so that reports are reproducible."""
+    rng = random.Random("probe %d %d %d" % (N, degree, cap))
+    return MultiSeries(N, cap, field,
+                       {exp: field.of(rng.randrange(1, PRIME))
+                        for exp in all_monomials(N, degree)})
+
+
+@lru_cache(maxsize=2)
+def _probe_image(op, N, degree, cap, field):
+    """op applied to the probe.  Ops hash by identity, and the cache holds
+    them, so an id is not reused while cached.  Two entries hold the one
+    reference that a check compares with each of its candidates."""
+    return op(probe_series(N, degree, cap, field))
+
+
 def ops_agree_on_monomials(op_a, op_b, N, degree, cap, field):
     """First basis monomial (degree <= degree) where the operators differ,
-    or None if they agree up to the cap."""
+    or None if they agree up to the cap.
+
+    Freivalds' check: each operator is applied once, to ``probe_series``.
+    If op_a - op_b is nonzero on some basis monomial, some coefficient of
+    its image of the probe is a nonzero linear form in the weights, and
+    weights drawn uniformly from a set of 2^61 - 2 values zero it with
+    probability at most 1/(2^61 - 2) (Schwartz-Zippel at degree 1).  The
+    bound holds in GF(p) and over Q alike; in GF(p) it comes on top of
+    the (total degree)/p bound of checking an identity mod p at all.
+    Only when the images differ are the monomials applied one at a time,
+    so the offender reported is the first in lexicographic order."""
+    if (_probe_image(op_a, N, degree, cap, field)
+            == _probe_image(op_b, N, degree, cap, field)):
+        return None
     for exp in all_monomials(N, degree):
         m = MultiSeries.monomial(N, cap, field, exp)
         if op_a(m) != op_b(m):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlaumon import hamiltonian
 from qlaumon.hamiltonian import (HamiltonianSpec, apply_hamiltonian,
                                  build_blocks, center_block,
                                  check_borel_moved_triple, check_dynkin_family,
@@ -17,9 +18,9 @@ from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
 from qlaumon.scalars import spow
-from qlaumon.series import (MultiSeries, eq_of_monomial,
+from qlaumon.series import (MultiSeries, all_monomials, eq_of_monomial,
                             ops_agree_on_monomials,
-                            phi_of_monomial)
+                            phi_of_monomial, sparse_op)
 
 
 def test_rank_one_blocks_are_the_four_infinite_products():
@@ -134,6 +135,50 @@ def test_pentagon():
 
 def test_dynkin_families_coincide():
     assert check_dynkin_family(3, 2) == []
+
+
+def test_pentagon_and_family_are_empty_below_rank_three(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled parameters for N < 3")
+    monkeypatch.setattr(hamiltonian, "sample_params", no_sampling)
+    assert check_pentagon(2, 3) == check_dynkin_family(2, 3) == []
+
+
+def scan_oracle(op_a, op_b, N, degree, cap, field):
+    """The per-monomial scan: first basis monomial where the ops differ."""
+    for exp in all_monomials(N, degree):
+        m = MultiSeries.monomial(N, cap, field, exp)
+        if op_a(m) != op_b(m):
+            return exp
+    return None
+
+
+def _broken(build, broken_at, target):
+    """build, with the member at index broken_at changed on x^target only."""
+    def member(spec, i, sc):
+        op = build(spec, i, sc)
+        if i != broken_at:
+            return op
+        c = spec.params.field.of(5)
+        return op + sparse_op(lambda nu, budget: (((0,) * len(nu), c),)
+                              if nu == target else ())
+    return member
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_dynkin_family_failures_match_the_scan(monkeypatch, mode):
+    """With three family members broken, the probe check reports the same
+    (tag, i, where) triples as the per-monomial scan."""
+    for name, i, target in (("_family_conjugated", 2, (1, 0, 1)),
+                            ("_family_lower_words", 1, (0, 1, 1)),
+                            ("_family_upper_words", 0, (0, 0, 0))):
+        monkeypatch.setattr(hamiltonian, name,
+                            _broken(getattr(hamiltonian, name), i, target))
+    bad = check_dynkin_family(3, 2, 4, mode)
+    monkeypatch.setattr(hamiltonian, "ops_agree_on_monomials", scan_oracle)
+    assert check_dynkin_family(3, 2, 4, mode) == bad
+    assert bad == [("upper", 0, (0, 0, 0)), ("lower", 1, (0, 1, 1)),
+                   ("conjugated", 2, (1, 0, 1))]
 
 
 def test_moved_borel_triple():

@@ -6,15 +6,16 @@ from hypothesis import given, strategies as st
 
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL, spow
+from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL, Jet, spow
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
                             diagonal_op, eq_of_monomial, eq_product_normal_op,
-                            exp_series, mul_op,
+                            exp_series, identity_op, mul_op,
                             neumann_inverse_op, normal_ordered_op, op_qexp,
                             op_qexp_big, ops_agree_on_monomials,
-                            phi_of_monomial, phi_product_normal_op, qborel_op,
-                            series_inverse, shift_scaling_op,
-                            twisted_letter_op, word_op)
+                            phi_of_monomial, phi_product_normal_op,
+                            probe_series, qborel_op, series_inverse,
+                            shift_scaling_op, sparse_op, twisted_letter_op,
+                            word_op)
 
 
 def setup():
@@ -385,3 +386,120 @@ def test_budgeted_product_matches_all_pairs():
                 assert any(sum(k) == cap for k in a.terms)
                 assert a * b == all_pairs_product(a, b)
                 assert b * a == all_pairs_product(b, a)
+
+
+# -- the probe check against the per-monomial scan -----------------------------
+
+
+def scan_oracle(op_a, op_b, N, degree, cap, field):
+    """The per-monomial scan: first basis monomial where the ops differ."""
+    for exp in all_monomials(N, degree):
+        m = MultiSeries.monomial(N, cap, field, exp)
+        if op_a(m) != op_b(m):
+            return exp
+    return None
+
+
+def spike_op(target, c):
+    """x^target -> c x^target, every other basis monomial -> 0."""
+    target = tuple(target)
+    return sparse_op(lambda nu, budget: (((0,) * len(nu), c),)
+                     if nu == target else ())
+
+
+# a difference of 1/3 over Q, -1 in GF(p), and one in the h-part alone for jets
+SPIKES = [("rational", Fraction(1, 3)), ("prime", PRIME_FIELD.of(-1)),
+          ("jet", Jet(0, 1))]
+
+
+def reference_op(mode, N):
+    """The identity plus a degree-raising letter behind a q-Borel factor."""
+    ps = sample_params(3, N, mode)
+    ctx = QContext(ps.sqrt_q, ps.field)
+    return ps.field, (identity_op() + compose(
+        [qborel_op(1, ctx), twisted_letter_op(0, +1, ps.d(0), ctx, N)]))
+
+
+@pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
+@pytest.mark.parametrize("N,degree,cap", [(2, 3, 4), (3, 2, 2)])
+def test_probe_finds_a_difference_on_one_monomial(mode, c, N, degree, cap):
+    """Every basis monomial in turn, from degree 0 to the top degree, is
+    the only one where the pair differs; the report is that monomial."""
+    field, ref = reference_op(mode, N)
+    for target in all_monomials(N, degree):
+        op = ref + spike_op(target, c)
+        assert scan_oracle(ref, op, N, degree, cap, field) == target
+        assert ops_agree_on_monomials(ref, op, N, degree, cap, field) == target
+        assert ops_agree_on_monomials(op, ref, N, degree, cap, field) == target
+
+
+@pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
+def test_probe_reports_the_scans_first_offender(mode, c):
+    rng = random.Random(4)
+    field, ref = reference_op(mode, 3)
+    monomials = all_monomials(3, 3)
+    for _ in range(6):
+        op = ref
+        for target in rng.sample(monomials, rng.randrange(2, 5)):
+            op = op + spike_op(target, c)
+        want = scan_oracle(ref, op, 3, 3, 4, field)
+        assert want is not None
+        assert ops_agree_on_monomials(ref, op, 3, 3, 4, field) == want
+
+
+@pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
+def test_probe_weights_keep_differences_from_cancelling(mode, c):
+    """x^(0,1) -> c x^(1,1) and x^(1,0) -> -c x^(1,1): the two images
+    cancel in the plain sum of the monomials, not in the weighted probe."""
+    field, ref = reference_op(mode, 2)
+    moves = {(0, 1): ((1, 0), c), (1, 0): ((0, 1), -c)}
+    op = ref + sparse_op(lambda nu, budget: (moves[nu],) if nu in moves
+                         and budget else ())
+    assert scan_oracle(ref, op, 2, 2, 2, field) == (0, 1)
+    assert ops_agree_on_monomials(ref, op, 2, 2, 2, field) == (0, 1)
+
+
+@pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
+@pytest.mark.parametrize("N,cap", [(2, 3), (3, 2)])
+def test_probe_ignores_a_difference_past_the_cap(mode, c, N, cap):
+    """The pair differs only by x^target -> c x^{target + e_1} on a
+    target of degree cap, whose image lies one degree past the cap."""
+    field, ref = reference_op(mode, N)
+    unit = (1,) + (0,) * (N - 1)
+    for target in all_monomials(N, cap):
+        if sum(target) < cap:
+            continue
+        op = ref + sparse_op(lambda nu, budget, target=target:
+                             ((unit, c),) if nu == target and budget else ())
+        assert scan_oracle(ref, op, N, cap, cap, field) is None
+        assert ops_agree_on_monomials(ref, op, N, cap, cap, field) is None
+        # one degree more and the difference is in range
+        assert ops_agree_on_monomials(ref, op, N, cap, cap + 1,
+                                      field) == target
+
+
+@pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
+def test_one_reference_against_many_candidates(mode, c):
+    """The memoized probe image of one reference, compared with candidates
+    that differ, agree, repeat, and with itself in either order."""
+    field, ref = reference_op(mode, 2)
+    same = compose([identity_op(), ref, identity_op()])
+    cands = [ref, ref + spike_op((1, 1), c), same, ref + spike_op((0, 2), c),
+             ref, same, ref + spike_op((0, 0), c)]
+    for op in cands + cands[::-1]:
+        for a, b in ((ref, op), (op, ref), (op, op)):
+            assert (ops_agree_on_monomials(a, b, 2, 2, 3, field)
+                    == scan_oracle(a, b, 2, 2, 3, field))
+    assert [ops_agree_on_monomials(ref, op, 2, 2, 3, field)
+            for op in cands] == [None, (1, 1), None, (0, 2), None, None, (0, 0)]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+def test_applying_an_op_leaves_the_probe_unchanged(mode):
+    field, ref = reference_op(mode, 3)
+    probe = probe_series(3, 2, 3, field)
+    before = probe.copy()
+    first, second = ref(probe), ref(probe)
+    assert probe.terms == before.terms == probe_series(3, 2, 3, field).terms
+    assert first == second
+    assert sorted(probe.terms) == all_monomials(3, 2)
