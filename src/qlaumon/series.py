@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache
 from math import factorial
 from operator import add, mul
 
@@ -472,14 +471,6 @@ def probe_series(N, degree, cap, field):
                         for exp in all_monomials(N, degree)})
 
 
-@lru_cache(maxsize=2)
-def _probe_image(op, N, degree, cap, field):
-    """op applied to the probe.  Ops hash by identity, and the cache holds
-    them, so an id is not reused while cached.  Two entries hold the one
-    reference that a check compares with each of its candidates."""
-    return op(probe_series(N, degree, cap, field))
-
-
 def ops_agree_on_monomials(op_a, op_b, N, degree, cap, field):
     """First basis monomial (degree <= degree) where the operators differ,
     or None if they agree up to the cap.
@@ -493,8 +484,8 @@ def ops_agree_on_monomials(op_a, op_b, N, degree, cap, field):
     the (total degree)/p bound of checking an identity mod p at all.
     Only when the images differ are the monomials applied one at a time,
     so the offender reported is the first in lexicographic order."""
-    if (_probe_image(op_a, N, degree, cap, field)
-            == _probe_image(op_b, N, degree, cap, field)):
+    probe = probe_series(N, degree, cap, field)
+    if op_a(probe) == op_b(probe):
         return None
     for exp in all_monomials(N, degree):
         m = MultiSeries.monomial(N, cap, field, exp)

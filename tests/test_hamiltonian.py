@@ -18,9 +18,10 @@ from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
 from qlaumon.scalars import spow
-from qlaumon.series import (MultiSeries, all_monomials, eq_of_monomial,
+from qlaumon.series import (MultiSeries, eq_of_monomial,
                             ops_agree_on_monomials,
                             phi_of_monomial, sparse_op)
+from test_series import scan_oracle
 
 
 def test_rank_one_blocks_are_the_four_infinite_products():
@@ -142,15 +143,6 @@ def test_pentagon_and_family_are_empty_below_rank_three(monkeypatch):
         raise AssertionError("sampled parameters for N < 3")
     monkeypatch.setattr(hamiltonian, "sample_params", no_sampling)
     assert check_pentagon(2, 3) == check_dynkin_family(2, 3) == []
-
-
-def scan_oracle(op_a, op_b, N, degree, cap, field):
-    """The per-monomial scan: first basis monomial where the ops differ."""
-    for exp in all_monomials(N, degree):
-        m = MultiSeries.monomial(N, cap, field, exp)
-        if op_a(m) != op_b(m):
-            return exp
-    return None
 
 
 def _broken(build, broken_at, target):

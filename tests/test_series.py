@@ -480,8 +480,8 @@ def test_probe_ignores_a_difference_past_the_cap(mode, c, N, cap):
 
 @pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
 def test_one_reference_against_many_candidates(mode, c):
-    """The memoized probe image of one reference, compared with candidates
-    that differ, agree, repeat, and with itself in either order."""
+    """One reference compared with candidates that differ, agree and
+    repeat, and with itself, in either order."""
     field, ref = reference_op(mode, 2)
     same = compose([identity_op(), ref, identity_op()])
     cands = [ref, ref + spike_op((1, 1), c), same, ref + spike_op((0, 2), c),
