@@ -1,12 +1,17 @@
 """Leading-order degeneration in the deformation direction q -> 1.
 
 Jets q = 1 + h with h^2 = 0 extract first-order coefficients of the
-q-identities exactly; the limit partition function replaces every sinh
-bracket [q^{E}; q]_n by the product E (E+1) ... (E+n-1) of its additive
-exponent (bracket counts balance numerator against denominator tuple by
-tuple, so the powers of h cancel identically).  Using 1 + h instead of
-e^h changes nothing at first order: the two parametrizations agree to
-O(h^2), and only O(h) coefficients are compared.
+q-identities exactly.  The limit partition function is the instanton sum
+of ``nekrasov`` with every single bracket [q^E] replaced by its additive
+exponent E, so that a row bracket [q^E; q]_n becomes E (E+1) ... (E+n-1).
+It runs on the q-builder's row walk (``nekrasov._row_product``) and memos
+(``nekrasov.pair_weights``).  The powers of h cancel identically: the row
+walk reads no part of mu in the index ranges of the rows of lam, and no
+part of lam in those of mu, so the color-k pair (lam, mu) has
+A_k(lam) + B_k(mu) factors and numerator and denominator counts agree
+pair by pair.  Using 1 + h instead of e^h changes nothing at first order:
+the two parametrizations agree to O(h^2), and only O(h) coefficients are
+compared.
 
 The annihilation check applies the second-order differential-shift
 operator built from the limit of the equation to the limit series and
@@ -19,9 +24,9 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .partitions import colored_counts, enumerate_tuples, part
+from .nekrasov import _row_product, instanton_sum, pair_weights
 from .scalars import Jet, RATIONAL
-from .series import MultiSeries, add_term, normal_ordered_dynamic_op
+from .series import MultiSeries, normal_ordered_dynamic_op
 
 
 JET_Q = Jet(1, 1)  # q = 1 + h
@@ -169,88 +174,32 @@ class AdditiveParams:
         return AdditiveParams(N, Fraction(num7, 7), betas, m, mbar)
 
 
-def additive_bracket(E, n):
-    """Leading coefficient of [q^E; q]_n / (-h)^n: E (E+1) ... (E+n-1)."""
-    out = Fraction(1)
-    for j in range(n):
-        out = out * (E + j)
-    return out
-
-
-class VanishingLinearForm(Exception):
-    def __init__(self, tup, where):
-        super().__init__("vanishing linear form at tuple %r (%s)" % (tup, where))
-        self.tup = tup
-
-
-def _additive_nek(k, N, lam, mu, E_u, eps):
-    """Additive limit of the color-k sinh factor with argument exponent
-    E_u; returns (value, bracket count)."""
-    k = k % N
-    val = Fraction(1)
-    count = 0
-    for j in range(1, len(lam) + 1):
-        n = part(lam, j) - part(lam, j + 1)
-        if n == 0:
-            continue
-        start = (j - k - 1) % N + 1
-        for i in range(start, j + 1, N):
-            E = E_u + (-part(mu, i) + part(lam, j + 1)) + (j - i) * eps
-            val = val * additive_bracket(E, n)
-            count += n
-    for beta in range(1, len(mu) + 1):
-        n = part(mu, beta) - part(mu, beta + 1)
-        if n == 0:
-            continue
-        start = (beta + k) % N + 1
-        for alpha in range(start, beta + 1, N):
-            E = E_u + (part(lam, alpha) - part(mu, beta)) + (alpha - beta - 1) * eps
-            val = val * additive_bracket(E, n)
-            count += n
-    return val, count
-
-
 def laumon_4d(ap, cap):
     """Leading jet of the solution series in the additive parametrization:
-    exact rational coefficients.  The h-powers cancel because numerator
-    and denominator bracket counts agree pair by pair; this balance is
-    asserted for every tuple.  The argument exponents are computed once
-    and each factor is memoized on (role, i, j, lam, mu) for the length
-    of the call."""
-    N = ap.N
-    out = MultiSeries.zero(N, cap, RATIONAL)
-    # a_i/b_j with a_i = q kappa b_{i-1}/d_{i-1}; b_i/c_j with
-    # c_j = b_j/dbar_j; b_i/b_j
-    pairs = [(i, j, 1 + ap.eps + ap.betas[(i - 1) % N] - ap.m[(i - 1) % N]
-              - ap.betas[j], ap.betas[i] - ap.betas[j] + ap.mbar[j],
-              ap.betas[i] - ap.betas[j]) for i in range(N) for j in range(N)]
-    memo = {}
+    exact rational coefficients.  It is the q-deformed instanton sum
+    (``nekrasov.pair_weights``, ``nekrasov.instanton_sum``) with each
+    single bracket [u q^{a/2} kappa^{f/2}] replaced by its additive
+    exponent E + a + f eps, where E = x - y is the difference of the
+    additive exponents of the pair's two arguments.  A vanishing
+    vector-multiplet form raises DegenerateParameters; a vanishing
+    numerator form gives the coefficient zero."""
+    N, eps = ap.N, ap.eps
+    raw = RATIONAL.raw
 
-    def factor(tup, role, i, j, lam, mu, E):
-        key = (role, i, j, lam, mu)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _additive_nek(j - i, N, lam, mu, E, ap.eps)
-            if got[0] == 0:
-                raise VanishingLinearForm(tup, "%s %d,%d" % (role, i, j))
-        return got
+    def pair(x, y, k):
+        E, singles = x - y, {}
 
-    for tup in enumerate_tuples(N, cap):
-        num = den = Fraction(1)
-        ncount = dcount = 0
-        for i, j, e_ab, e_bc, e_bb in pairs:
-            v, c = factor(tup, "antifundamental", i, j, (), tup[j], e_ab)
-            num *= v
-            ncount += c
-            v, c = factor(tup, "fundamental", i, j, tup[i], (), e_bc)
-            num *= v
-            ncount += c
-            v, c = factor(tup, "vector", i, j, tup[i], tup[j], e_bb)
-            den *= v
-            dcount += c
-        assert ncount == dcount, "bracket count imbalance at %r" % (tup,)
-        add_term(out.terms, colored_counts(tup, N), num / den)
-    return out
+        def single(a, f):
+            return raw(E + a + f * eps)
+
+        return lambda lam, mu: _row_product(k % N, N, lam, mu, single,
+                                            singles, RATIONAL)
+
+    # a_i = q kappa b_{i-1} / d_{i-1} and c_j = b_j / dbar_j
+    xa = [1 + eps + ap.betas[i - 1] - ap.m[i - 1] for i in range(N)]
+    xc = [ap.betas[j] - ap.mbar[j] for j in range(N)]
+    return instanton_sum(N, cap, pair_weights(N, RATIONAL, pair, xa,
+                                              ap.betas, xc), RATIONAL)
 
 
 # -- the annihilating operator -------------------------------------------------

@@ -57,10 +57,8 @@ class HamiltonianSpec:
         self.cap = cap
         # optional common rescaling of all variables (plumbing covariance)
         self.scale = scale if scale is not None else params.field.one
-
-
-def _ctx(ps):
-    return QContext(ps.sqrt_q, ps.field)
+        # one q-context, with its power caches, for every block of the spec
+        self.ctx = QContext(params.sqrt_q, params.field)
 
 
 def _hat_scales(spec):
@@ -74,14 +72,14 @@ def _chk_scales(spec):
 
 def _eq_w(spec, indices, direction, scales):
     """e_q(-word) for the letter word given by 0-based indices."""
-    ctx = _ctx(spec.params)
+    ctx = spec.ctx
     w, deg = word_op(indices, direction, scales, ctx, spec.N)
     return op_qexp(w, deg, -spec.params.field.one, ctx, spec.cap)
 
 
 def _phi_w(spec, indices, direction, scales):
     """phi(-word) = e_q(-word)^{-1}."""
-    ctx = _ctx(spec.params)
+    ctx = spec.ctx
     w, deg = word_op(indices, direction, scales, ctx, spec.N)
     return op_qexp_big(w, deg, spec.params.field.one, ctx, spec.cap)
 
@@ -90,7 +88,7 @@ def lambda_block(spec, outer=False):
     """Multiplication by phi(Lambda), or phi(q^{1-N} D_N Lambda) when
     ``outer`` (D_N the product of all masses), scale-adjusted."""
     ps = spec.params
-    ctx = _ctx(ps)
+    ctx = spec.ctx
     pref = spow(spec.scale, spec.N)
     if outer:
         pref = pref * spow(ps.q, 1 - spec.N) * ps.mass_product()
@@ -102,7 +100,7 @@ def center_block(spec):
     variable at a time: the k-th factor e_q(d_k x_k) e_q(dbar_k x_k) is a
     series in x_k alone, so the N-variable product is never expanded."""
     ps = spec.params
-    ctx = _ctx(ps)
+    ctx = spec.ctx
     ops = []
     for k in range(spec.N):
         vec = tuple(1 if p == k else 0 for p in range(spec.N))
@@ -120,8 +118,8 @@ def left_block(spec):
     if spec.form == "normal":
         # the wrap-around phi(Lambda) is implicit in the normal-ordered
         # product, exactly as phi(q^{1-N} D_N Lambda) is on the right
-        ctx = _ctx(spec.params)
-        inv = eq_product_normal_op([sc[i] for i in range(N)], -1, ctx, N, spec.cap)
+        inv = eq_product_normal_op([sc[i] for i in range(N)], -1, spec.ctx,
+                                   N, spec.cap)
         return neumann_inverse_op(inv, spec.cap)
     if spec.form == "higher":
         ops = [_eq_w(spec, list(range(0, j + 1)), -1, sc) for j in range(N - 1)]
@@ -141,8 +139,8 @@ def right_block(spec):
         return lambda_block(spec, outer=True)
     sc = _hat_scales(spec)
     if spec.form == "normal":
-        ctx = _ctx(spec.params)
-        return phi_product_normal_op([sc[i] for i in range(N)], +1, ctx, N, spec.cap)
+        return phi_product_normal_op([sc[i] for i in range(N)], +1, spec.ctx,
+                                     N, spec.cap)
     if spec.form == "higher":
         ops = [lambda_block(spec, outer=True)]
         ops += [_eq_w(spec, [j], +1, sc) for j in range(1, N)]
@@ -157,7 +155,7 @@ def right_block(spec):
 
 
 def borel_block(spec, sign=+1):
-    return qborel_op(sign, _ctx(spec.params))
+    return qborel_op(sign, spec.ctx)
 
 
 def shift_block(spec):
@@ -191,7 +189,7 @@ def _gl2_symmetric_op(spec):
     variables rescaled by -q^{-1/2} and the masses regrouped one variable
     at a time.  Acts identically to the other forms."""
     ps = spec.params
-    ctx = _ctx(ps)
+    ctx = spec.ctx
     cap = spec.cap
     s = -spec.scale / ctx.sqrt_q
 
@@ -239,7 +237,7 @@ def moved_borel_expression(ps, cap, which, scales=None):
     ``scales`` optionally rescales the letters (defaults to 1).
     """
     N = ps.N
-    ctx = _ctx(ps)
+    ctx = QContext(ps.sqrt_q, ps.field)
     f = ps.field
     if scales is None:
         scales = {i: f.one for i in range(N)}
@@ -484,7 +482,7 @@ def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
     equation holds on it.  Returns (support_ok, equation_ok, psi)."""
     ps0 = sample_params(seed, N, mode)
     ps = mass_truncated_params(ps0, mvec)
-    ctx = _ctx(ps)
+    ctx = QContext(ps.sqrt_q, ps.field)
     psi = solution_series(ps, cap)
 
     support_ok = all(

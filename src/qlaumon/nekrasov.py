@@ -14,13 +14,16 @@ denominator is nonzero for the generic parameter sets produced by
 ``params.sample_params``.
 
 One build of the partition function memoizes at three levels (see
-``tuple_weights``): the single factors of each pair argument u on (a, b)
+``pair_weights``): the single factors of each pair argument u on (a, b)
 (brackets [u q^{a/2} kappa^{b/2}], or 1 - u q^a kappa^b), the
 vector-multiplet pair factors on their partitions, and the numerator of
-each slot on (slot, partition).  The memos and the products hold the
-field's raw form (``scalars.Field``): plain residues in GF(p), and over Q
-(numerator, denominator) pairs of ints multiplied apart and never
-cancelled, so that a tuple's one division is its only gcd.
+each slot on (slot, partition).  The four-dimensional limit
+(``fourd.laumon_4d``) builds on the same row walk, memos and tuple sum,
+with the additive exponent E + a + b eps as its single factor.  The memos
+and the products hold the field's raw form (``scalars.Field``): plain
+residues in GF(p), and over Q (numerator, denominator) pairs of ints
+multiplied apart and never cancelled, so that a tuple's one division is
+its only gcd.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def _row_product(k, N, lam, mu, single, singles, field):
     factors.  Rows beyond the diagram lengths contribute nothing.  The
     factors of a row pair sit at (e + t, f), t < n, for one (e, f); each
     is memoized in ``singles`` (a dict, or None for a fresh one) on its
-    (a, f).
+    (a, f).  The row ranges of lam read nothing of mu and those of mu
+    nothing of lam, so the number of factors is a count of lam plus a
+    count of mu (``nek_bracket_count``).
     """
     if singles is None:
         singles = {}
@@ -291,52 +296,34 @@ def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
 # -- partition function ------------------------------------------------------
 
 
-def laumon_partition_function(lp, cap, kind="sinh"):
-    """Partition function as a MultiSeries in the N expansion slots,
-    truncated at total colored degree ``cap``.  kind is "sinh" or "poch".
-    Constant term is one; a vanishing vector-multiplet denominator raises
-    DegenerateParameters."""
-    N = lp.N
-    out = MultiSeries.zero(N, cap, lp.nc.field)
-    weight = tuple_weights(lp, kind)
+def instanton_sum(N, cap, weight, field):
+    """The sum of ``weight(tup)`` times x^{colored counts of tup} over the
+    N-tuples of partitions of total size at most ``cap``, as a
+    MultiSeries over ``field``."""
+    out = MultiSeries.zero(N, cap, field)
     for tup in enumerate_tuples(N, cap):
         add_term(out.terms, colored_counts(tup, N), weight(tup))
     return out
 
 
+def laumon_partition_function(lp, cap, kind="sinh"):
+    """Partition function as a MultiSeries in the N expansion slots,
+    truncated at total colored degree ``cap``.  kind is "sinh" or "poch".
+    Constant term is one; a vanishing vector-multiplet denominator raises
+    DegenerateParameters."""
+    return instanton_sum(lp.N, cap, tuple_weights(lp, kind), lp.nc.field)
+
+
 def tuple_weights(lp, kind="sinh", pure=False):
     """The weight of a tuple as a function of the tuple, for one pass over
-    many tuples.
-
-    A tuple's weight is the product over slot pairs (i, j), color j - i,
-    of n1 n2 / dd: n1 pairs (empty, tup[j]) at a_i/b_j, n2 pairs
-    (tup[i], empty) at b_i/c_j and dd, the vector multiplet, pairs
-    (tup[i], tup[j]) at b_i/b_j.  The 3 N^2 arguments are computed once,
-    and three memos live as long as the returned function:
-
-      * single factors: each argument keeps its own memo of the single
-        brackets (or Pochhammer factors) its factors multiply
-        (``nek_sinh``'s ``singles``), so each costs one inversion per
-        build;
-      * pair factors: each dd factor is memoized on its two partitions;
-      * slot numerators: the n1 factors with tup[p] = lam (all i) and the
-        n2 factors with tup[p] = lam (all j) depend on slot p alone, so
-        their product is memoized on (p, lam).
-
-    The memos and the products hold the field's raw form (``Field.raw``),
-    multiplied with ``Field.mul``: residues in GF(p), unreduced
-    (numerator, denominator) pairs over Q.  Only the weight returned is a
-    scalar: a tuple costs N slot numerators, N^2 dd factors and one
-    ``wrap(num) / wrap(den)``, over Q its only gcd.  A vanishing dd
-    product raises DegenerateParameters with the first zero pair in
-    row-major order; zero is tested on the wrapped value, since a raw pair
-    (0, d) is truthy.  ``pure`` drops the numerator (vector multiplet
-    only)."""
+    many tuples: ``pair_weights`` with the sinh factors (``nek_sinh``) or
+    the Pochhammer factors (``nek_poch``) of the arguments x/y, formed
+    from the square roots of a, b and c.  Its three memo levels (single
+    factors, dd pair factors, slot numerators) serve this build and the
+    4d limit (``fourd.laumon_4d``) alike.  ``pure`` drops the numerator
+    (vector multiplet only)."""
     N = lp.N
     nc = lp.nc
-    field = nc.field
-    mul, wrap = field.mul, field.wrap
-    one = field.raw(field.one)
 
     if kind == "sinh":
         def pair(x, y, k):
@@ -350,10 +337,47 @@ def tuple_weights(lp, kind="sinh", pure=False):
             return lambda lam, mu: nek_poch(k, N, lam, mu, u, nc,
                                             singles=singles)
 
-    sa, sb, sc = lp.sqrt_a, lp.sqrt_b, lp.sqrt_c
-    n1 = [[pair(sa[i], sb[j], j - i) for j in range(N)] for i in range(N)]
-    n2 = [[pair(sb[i], sc[j], j - i) for j in range(N)] for i in range(N)]
-    dd = [(i, j, cache(pair(sb[i], sb[j], j - i)))
+    return pair_weights(N, nc.field, pair, lp.sqrt_a, lp.sqrt_b, lp.sqrt_c,
+                        pure)
+
+
+def pair_weights(N, field, pair, xa, xb, xc, pure=False):
+    """The weight of a tuple as a function of the tuple, from the pair
+    factory ``pair(x, y, k)``: it returns the color-k factor of the
+    argument formed from x and y as a function of two partitions, in the
+    raw form of ``field``.  The q-deformed series (``tuple_weights``) and
+    its four-dimensional limit (``fourd.laumon_4d``) both build their
+    weights here.
+
+    A tuple's weight is the product over slot pairs (i, j), color j - i,
+    of n1 n2 / dd: n1 pairs (empty, tup[j]) at (xa[i], xb[j]), n2 pairs
+    (tup[i], empty) at (xb[i], xc[j]) and dd, the vector multiplet, pairs
+    (tup[i], tup[j]) at (xb[i], xb[j]).  The 3 N^2 pair factors are made
+    once, and three memos live as long as the returned function:
+
+      * single factors: each factor made by ``pair`` keeps its own memo
+        of the single factors its rows multiply (``_row_product``'s
+        ``singles``), so each costs one evaluation per build;
+      * pair factors: each dd factor is memoized on its two partitions;
+      * slot numerators: the n1 factors with tup[p] = lam (all i) and the
+        n2 factors with tup[p] = lam (all j) depend on slot p alone, so
+        their product is memoized on (p, lam).
+
+    The memos and the products hold the field's raw form (``Field.raw``),
+    multiplied with ``Field.mul``: residues in GF(p), unreduced
+    (numerator, denominator) pairs over Q.  Only the weight returned is a
+    scalar: a tuple costs N slot numerators, N^2 dd factors and one
+    ``wrap(num) / wrap(den)``, over Q its only gcd.  A vanishing numerator
+    gives the weight zero.  A vanishing dd product raises
+    DegenerateParameters with the first zero pair in row-major order; zero
+    is tested on the wrapped value, since a raw pair (0, d) is truthy.
+    ``pure`` drops the numerator (vector multiplet only)."""
+    mul, wrap = field.mul, field.wrap
+    one = field.raw(field.one)
+
+    n1 = [[pair(xa[i], xb[j], j - i) for j in range(N)] for i in range(N)]
+    n2 = [[pair(xb[i], xc[j], j - i) for j in range(N)] for i in range(N)]
+    dd = [(i, j, cache(pair(xb[i], xb[j], j - i)))
           for i in range(N) for j in range(N)]
 
     @cache
@@ -381,11 +405,6 @@ def tuple_weights(lp, kind="sinh", pure=False):
         return wrap(num) / den
 
     return weight
-
-
-def pure_tuple_weight(lp, tup, kind="sinh"):
-    """Vector-multiplet-only weight (numerators dropped)."""
-    return tuple_weights(lp, kind, pure=True)(tup)
 
 
 # -- parametrization of the difference-equation solution ---------------------

@@ -1,16 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from qlaumon.fourd import (AdditiveParams, VanishingLinearForm,
-                           additive_bracket, binomial_square_identity,
+from qlaumon.fourd import (AdditiveParams, binomial_square_identity,
                            check_poch_4d, check_transport_identity,
                            comb_signed, fst_check, jet_poch, k_difference,
                            k_difference_formula, laumon_4d,
                            poch_expansion_formula, ratio_limit_direct,
                            ratio_limit_formula, signed_ratio_limit_check,
                            transported_point)
+from qlaumon.nekrasov import DegenerateParameters
+from qlaumon.partitions import (colored_counts, conjugate, enumerate_tuples,
+                                part)
 from qlaumon.scalars import Jet
 
 
@@ -71,53 +74,98 @@ def test_k_difference_all_zero():
                         [Fraction(1, 3)] * 3) == 0
 
 
-def test_additive_bracket():
-    assert additive_bracket(Fraction(3, 2), 3) == \
-        Fraction(3, 2) * Fraction(5, 2) * Fraction(7, 2)
-    assert additive_bracket(Fraction(1), 0) == 1
-
-
 def test_rank_one_limit_is_binomial_series():
-    ap = AdditiveParams(1, Fraction(10, 7), [Fraction(2, 11)],
-                        [Fraction(5, 13)], [Fraction(7, 17)])
-    psi = laumon_4d(ap, 6)
-    c = ap.m[0] * ap.mbar[0] / ap.eps
-    for k in range(7):
-        assert psi.get((k,)) == comb_signed(c, k) * (-1) ** k
+    # m = 0 or mbar = 0 puts a zero on a numerator form: the closed form
+    # gives psi = 1, and so must the zero coefficients of the sum
+    for m, mbar in ((Fraction(5, 13), Fraction(7, 17)),
+                    (Fraction(0), Fraction(7, 17)),
+                    (Fraction(5, 13), Fraction(0))):
+        ap = AdditiveParams(1, Fraction(10, 7), [Fraction(2, 11)], [m], [mbar])
+        psi = laumon_4d(ap, 6)
+        c = ap.m[0] * ap.mbar[0] / ap.eps
+        for k in range(7):
+            assert psi.get((k,)) == comb_signed(c, k) * (-1) ** k, (m, mbar, k)
+
+
+def boxes_with_colors(lam):
+    """(row i, column j, length of column j) over the boxes of lam."""
+    conj = conjugate(lam)
+    return [(i, j, conj[j - 1]) for i, row in enumerate(lam, start=1)
+            for j in range(1, row + 1)]
+
+
+def additive_box_factor(k, N, lam, mu, E, eps):
+    """The additive limit of ``nek_sinh_box``: over the same boxes, each
+    bracket argument u q^{a/2} kappa^{f/2} gives the factor E + a + f eps,
+    E the additive exponent of u."""
+    k = k % N
+    out = Fraction(1)
+    for i, j, cj in boxes_with_colors(mu):
+        if (cj - i) % N == (-k - 1) % N:
+            out *= E + part(lam, i) - j + (i - cj - 1) * eps
+    for i, j, cj in boxes_with_colors(lam):
+        if (cj - i) % N == k:
+            out *= E - part(mu, i) + j - 1 + (cj - i) * eps
+    return out
+
+
+def plain_limit_series(ap, cap):
+    """The limit series as a plain sum over tuples of the 3 N^2 box-form
+    factors, each evaluated afresh."""
+    N, eps = ap.N, ap.eps
+    out = {}
+    for tup in enumerate_tuples(N, cap):
+        w = Fraction(1)
+        for i in range(N):
+            for j in range(N):
+                e_ab = 1 + eps + ap.betas[(i - 1) % N] - ap.m[(i - 1) % N] \
+                    - ap.betas[j]
+                e_bc = ap.betas[i] - ap.betas[j] + ap.mbar[j]
+                w *= additive_box_factor(j - i, N, (), tup[j], e_ab, eps)
+                w *= additive_box_factor(j - i, N, tup[i], (), e_bc, eps)
+                w /= additive_box_factor(j - i, N, tup[i], tup[j],
+                                         ap.betas[i] - ap.betas[j], eps)
+        kvec = colored_counts(tup, N)
+        out[kvec] = out.get(kvec, 0) + w
+    return {k: v for k, v in out.items() if v}
 
 
 def test_limit_series_rank_two_degree_one_brute_force():
-    ap = AdditiveParams.sample(5, 2)
-    psi = laumon_4d(ap, 1)
-    from qlaumon.fourd import _additive_nek
-
-    def term(tup):
-        num = Fraction(1)
-        den = Fraction(1)
-        for i in range(2):
-            for j in range(2):
-                e_ab = 1 + ap.eps + ap.betas[(i - 1) % 2] - ap.m[(i - 1) % 2] \
-                    - ap.betas[j]
-                v, _ = _additive_nek(j - i, 2, (), tup[j], e_ab, ap.eps)
-                num *= v
-                e_bc = ap.betas[i] - ap.betas[j] + ap.mbar[j]
-                v, _ = _additive_nek(j - i, 2, tup[i], (), e_bc, ap.eps)
-                num *= v
-                v, _ = _additive_nek(j - i, 2, tup[i], tup[j],
-                                     ap.betas[i] - ap.betas[j], ap.eps)
-                den *= v
-        return num / den
-
-    assert psi.get((1, 0)) == term(((1,), ()))
-    assert psi.get((0, 1)) == term(((), (1,)))
+    for N, D in ((2, 1), (2, 2), (3, 1)):
+        ap = AdditiveParams.sample(5, N)
+        assert laumon_4d(ap, D).terms == plain_limit_series(ap, D), (N, D)
 
 
 def test_vanishing_linear_form_raises_with_tuple():
     ap = AdditiveParams(1, Fraction(1), [Fraction(2)], [Fraction(1)],
                         [Fraction(3)])
     # eps integer makes a vector-multiplet form vanish at some tuple
-    with pytest.raises(VanishingLinearForm):
+    with pytest.raises(DegenerateParameters) as err:
         laumon_4d(ap, 6)
+    assert err.value.tup == ((2,),)
+    assert err.value.pair == (1, 1)
+
+
+def test_limit_series_pinned():
+    # sha1 of the sorted terms, recorded with the limit's own row walk
+    # and memo, before it ran on the q-builder's
+    pins = {
+        (1, 8, 1): "03476555f48c3284549831aa58294ba80d31d61c",
+        (1, 8, 2): "ceedcbf53fc05512218fdb988037aeee5e108a6a",
+        (1, 8, 3): "67f8204c0610cb05b06607313ca0fbb2e4515a76",
+        (2, 6, 1): "4862f2313c29010e18db5270bdeded1dc5989698",
+        (2, 6, 2): "b65b1bbb62286f0028df476f867eed8c2f451456",
+        (2, 6, 3): "32f4236578b9950d312e4b414a5318b181039760",
+        (3, 5, 1): "85418d704b15b8d6074515aa58bbb6a96353b355",
+        (3, 5, 2): "d61684c26164c661291eb9562037cc8815fb627d",
+        (3, 5, 3): "f37f3d9771b79e3fac1a035ca561b91830a776f6",
+    }
+    for (N, D, seed), want in pins.items():
+        psi = laumon_4d(AdditiveParams.sample(seed, N), D)
+        got = hashlib.sha1(repr(sorted(
+            (k, (v.numerator, v.denominator)) for k, v in psi.terms.items()
+        )).encode()).hexdigest()
+        assert got == want, (N, D, seed)
 
 
 def test_transport_point_preserves_product():

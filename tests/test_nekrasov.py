@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -11,7 +12,7 @@ from qlaumon.nekrasov import (DegenerateParameters, LaumonParams,
                               laumon_partition_function, nek_bracket_count,
                               nek_context, nek_matter_anti, nek_matter_fund,
                               nek_poch, nek_poch_box, nek_sinh,
-                              nek_sinh_box, pure_tuple_weight, solution_series,
+                              nek_sinh_box, solution_series,
                               solution_spectral_params, tuple_weights)
 from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
@@ -199,6 +200,18 @@ def test_bracket_counts_balance_pairwise():
         n_num = nek_bracket_count(k, 3, (), mu) + nek_bracket_count(k, 3, lam, ())
         n_den = nek_bracket_count(k, 3, lam, mu)
         assert n_num == n_den
+    # so tuple by tuple the n1 + n2 factors and the dd factors carry
+    # equally many brackets, at the points of the 4d limit tests
+    count = cache(nek_bracket_count)
+    for N, D in ((1, 8), (2, 6), (3, 5), (4, 4), (2, 8), (3, 6)):
+        for tup in enumerate_tuples(N, D):
+            n_num = n_den = 0
+            for i in range(N):
+                for j in range(N):
+                    n_num += count(j - i, N, (), tup[j]) \
+                        + count(j - i, N, tup[i], ())
+                    n_den += count(j - i, N, tup[i], tup[j])
+            assert n_num == n_den, tup
 
 
 def test_partition_function_constant_term_and_rank_one_closed_form():
@@ -269,7 +282,7 @@ def check_degenerate_denominator_reported(mode):
     assert err.value.tup == ((), (1,))
     assert err.value.pair == (1, 2)
     with pytest.raises(DegenerateParameters) as err:
-        pure_tuple_weight(bad, ((), (1,)), "sinh")
+        tuple_weights(bad, "sinh", pure=True)(((), (1,)))
     assert err.value.tup == ((), (1,))
     assert err.value.pair == (1, 2)
 
@@ -367,7 +380,7 @@ def test_inversion_symmetry():
 
 def test_pure_weight_is_vector_multiplet_only():
     lp, ps = generic_lp(23, 2)
-    w = pure_tuple_weight(lp, (((1,), ())), "sinh")
+    w = tuple_weights(lp, "sinh", pure=True)(((1,), ()))
     den = ps.field.one
     for i in range(2):
         for j in range(2):
