@@ -27,7 +27,7 @@ from fractions import Fraction
 from .nekrasov import solution_series
 from .params import sample_params
 from .qfun import QContext
-from .rmatrix import finite_poch_product, mat_eye, mat_mul
+from .rmatrix import mat_eye, mat_mul, terminated_side
 from .scalars import spow
 from .series import (compose, diagonal_op, eq_of_monomial,
                      eq_product_normal_op, letter_op,
@@ -46,7 +46,7 @@ DEFAULT_FORM = "higher"
 class HamiltonianSpec:
     """N, parameters, chosen block form and degree cap."""
 
-    def __init__(self, params, form=DEFAULT_FORM, cap=4, scale=None):
+    def __init__(self, params, form=DEFAULT_FORM, cap=4):
         if form not in FORMS:
             raise ValueError("unknown form %r" % form)
         if form == "gl2-symmetric" and params.N != 2:
@@ -55,19 +55,17 @@ class HamiltonianSpec:
         self.N = params.N
         self.form = form
         self.cap = cap
-        # optional common rescaling of all variables (plumbing covariance)
-        self.scale = scale if scale is not None else params.field.one
         # one q-context, with its power caches, for every block of the spec
         self.ctx = QContext(params.sqrt_q, params.field)
 
 
 def _hat_scales(spec):
     ps = spec.params
-    return {i: spec.scale * ps.d(i) * ps.dbar(i) for i in range(spec.N)}
+    return {i: ps.d(i) * ps.dbar(i) for i in range(spec.N)}
 
 
 def _chk_scales(spec):
-    return {i: spec.scale for i in range(spec.N)}
+    return {i: spec.params.field.one for i in range(spec.N)}
 
 
 def _eq_w(spec, indices, direction, scales):
@@ -86,12 +84,12 @@ def _phi_w(spec, indices, direction, scales):
 
 def lambda_block(spec, outer=False):
     """Multiplication by phi(Lambda), or phi(q^{1-N} D_N Lambda) when
-    ``outer`` (D_N the product of all masses), scale-adjusted."""
+    ``outer`` (D_N the product of all masses)."""
     ps = spec.params
     ctx = spec.ctx
-    pref = spow(spec.scale, spec.N)
+    pref = ps.field.one
     if outer:
-        pref = pref * spow(ps.q, 1 - spec.N) * ps.mass_product()
+        pref = spow(ps.q, 1 - spec.N) * ps.mass_product()
     return mul_op(phi_of_monomial(ctx, spec.N, spec.cap, pref, (1,) * spec.N))
 
 
@@ -105,8 +103,8 @@ def center_block(spec):
     for k in range(spec.N):
         vec = tuple(1 if p == k else 0 for p in range(spec.N))
         ops.append(mul_op(
-            eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.d(k), vec)
-            * eq_of_monomial(ctx, spec.N, spec.cap, spec.scale * ps.dbar(k), vec)))
+            eq_of_monomial(ctx, spec.N, spec.cap, ps.d(k), vec)
+            * eq_of_monomial(ctx, spec.N, spec.cap, ps.dbar(k), vec)))
     return compose(ops)
 
 
@@ -154,8 +152,8 @@ def right_block(spec):
     return compose(ops)
 
 
-def borel_block(spec, sign=+1):
-    return qborel_op(sign, spec.ctx)
+def borel_block(spec):
+    return qborel_op(1, spec.ctx)
 
 
 def shift_block(spec):
@@ -191,7 +189,7 @@ def _gl2_symmetric_op(spec):
     ps = spec.params
     ctx = spec.ctx
     cap = spec.cap
-    s = -spec.scale / ctx.sqrt_q
+    s = -ps.field.one / ctx.sqrt_q
 
     def mono(i):
         return (1, 0) if i == 0 else (0, 1)
@@ -237,13 +235,13 @@ def moved_borel_expression(ps, cap, which, scales=None):
     ``scales`` optionally rescales the letters (defaults to 1).
     """
     N = ps.N
-    ctx = QContext(ps.sqrt_q, ps.field)
+    spec = HamiltonianSpec(ps, "simple", cap)
+    ctx = spec.ctx
     f = ps.field
     if scales is None:
         scales = {i: f.one for i in range(N)}
 
     if which == 0:
-        spec = HamiltonianSpec(ps, "simple", cap)
         ops = [_eq_w(spec, [j], +1, scales) for j in range(1, N)]
         ops += [_phi_w(spec, [j], +1, scales) for j in range(N - 2, 0, -1)]
         ops += [_eq_w(spec, [j], +1, scales) for j in range(0, N - 1)]
@@ -305,7 +303,7 @@ def _borel_moved_op(spec):
     """Hamiltonian with the right block and its trailing Borel weight
     replaced by the moved-Borel expression (variant 0) carrying the mass
     scalings."""
-    sub = HamiltonianSpec(spec.params, "simple", spec.cap, spec.scale)
+    sub = HamiltonianSpec(spec.params, "simple", spec.cap)
     return compose([borel_block(sub), left_block(sub), center_block(sub),
                     lambda_block(sub, outer=True),
                     moved_borel_expression(spec.params, spec.cap, 0,
@@ -345,14 +343,12 @@ class DefectReport:
 
 
 def verify_conjecture(N, cap, seed=1, mode="rational", form=DEFAULT_FORM,
-                      gauge_scale=None, params=None):
+                      params=None):
     """Compute the solution series and report  H psi - psi  degree by
-    degree.  ``gauge_scale`` rescales every variable by a common factor,
-    compensated in the blocks and in the slot scalings (a plumbing
-    covariance check, not a structural one)."""
+    degree."""
     ps = params if params is not None else sample_params(seed, N, mode)
-    spec = HamiltonianSpec(ps, form, cap, gauge_scale)
-    psi = solution_series(ps, cap, extra_scale=spec.scale)
+    spec = HamiltonianSpec(ps, form, cap)
+    psi = solution_series(ps, cap)
     defect = hamiltonian_op(spec)(psi) - psi
     report = DefectReport(N, cap, seed, mode, form)
     by_degree = defect.degrees()
@@ -479,32 +475,23 @@ def mass_truncated_params(ps, mvec):
 def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
     """After dbar_i = q^{-m_i}: support of the solution series satisfies
     theta_i - theta_{i-1} <= m_i, and the terminated normal-ordered
-    equation holds on it.  Returns (support_ok, equation_ok, psi)."""
+    equation holds on it: the mass side of ``rmatrix.terminated_side``
+    (masses mu_i = d_i) after the shift block equals the plain side.
+    Returns (support_ok, equation_ok, psi)."""
     ps0 = sample_params(seed, N, mode)
     ps = mass_truncated_params(ps0, mvec)
-    ctx = QContext(ps.sqrt_q, ps.field)
     psi = solution_series(ps, cap)
 
     support_ok = all(
         all(th[i] - th[i - 1] <= mvec[i] for i in range(N))
         for th in psi.terms)
 
-    def lhs_expand(nu):
-        lengths = [mvec[i] - nu[i] + nu[i - 1] for i in range(N)]
-        prefs = [spow(ctx.q, -mvec[i] + nu[i] - nu[i - 1]) * ps.d(i)
-                 for i in range(N)]
-        return finite_poch_product(prefs, lengths, ctx)
-
-    def rhs_expand(nu):
-        lengths = [mvec[i] - nu[i] + nu[i - 1] for i in range(N)]
-        prefs = [spow(ctx.q, -mvec[i]) for i in range(N)]
-        return finite_poch_product(prefs, lengths, ctx)
-
     spec = HamiltonianSpec(ps, "normal", cap)
-    lhs_op = compose([normal_ordered_dynamic_op(lhs_expand),
-                      borel_block(spec, +1), shift_block(spec)])
-    rhs_op = compose([normal_ordered_dynamic_op(rhs_expand),
-                      borel_block(spec, -1)])
+    mus = [ps.d(i) for i in range(N)]
+    lhs_op = compose([normal_ordered_dynamic_op(
+        terminated_side(mvec, mus, spec.ctx, "mass")), shift_block(spec)])
+    rhs_op = normal_ordered_dynamic_op(
+        terminated_side(mvec, mus, spec.ctx, "plain"))
     equation_ok = (lhs_op(psi) - rhs_op(psi)).is_zero()
     return support_ok, equation_ok, psi
 

@@ -425,26 +425,20 @@ def solution_spectral_params(ps):
     return LaumonParams(N, nc, sqrt_a, list(ps.sqrt_b), sqrt_c)
 
 
-def solution_slot_scalings(ps, extra=None):
+def solution_slot_scalings(ps):
     """Per-slot scaling sqrt(b_{i+1} d_i dbar_i / (q kappa b_i)) relating
     the expansion slots to the equation variables x_i."""
     N = ps.N
-    out = []
-    for i in range(N):
-        r = ps.sqrt_b[(i + 1) % N] * ps.sqrt_d[i] * ps.sqrt_dbar[i] \
-            / (ps.sqrt_q * ps.sqrt_kappa * ps.sqrt_b[i])
-        if extra is not None:
-            r = r * extra
-        out.append(r)
-    return out
+    return [ps.sqrt_b[(i + 1) % N] * ps.sqrt_d[i] * ps.sqrt_dbar[i]
+            / (ps.sqrt_q * ps.sqrt_kappa * ps.sqrt_b[i]) for i in range(N)]
 
 
-def solution_series(ps, cap, extra_scale=None):
+def solution_series(ps, cap):
     """The conjectural eigenfunction: partition function at the solution
     parametrization with the slot scalings folded into the variables."""
     lp = solution_spectral_params(ps)
     z = laumon_partition_function(lp, cap, "sinh")
-    return shift_scaling_op(solution_slot_scalings(ps, extra_scale), ps.field)(z)
+    return shift_scaling_op(solution_slot_scalings(ps), ps.field)(z)
 
 
 # -- rank-one closed forms ----------------------------------------------------

@@ -111,7 +111,7 @@ def _draw_sqrt(rng, field):
     return fr
 
 
-def sample_params(seed, N, mode="rational", bound=GENERICITY_BOUND):
+def sample_params(seed, N, mode="rational"):
     """Deterministic generic ParamSet for the given (seed, N, mode).
 
     mode is "rational", "prime" or "jet".  Rejection sampling enforces:
@@ -132,7 +132,7 @@ def sample_params(seed, N, mode="rational", bound=GENERICITY_BOUND):
         sd = [_draw_sqrt(rng, field) for _ in range(N)]
         sdb = [_draw_sqrt(rng, field) for _ in range(N)]
         ps = ParamSet(N, field, sq, sk, sb, sd, sdb)
-        if _generic_enough(ps, bound):
+        if _generic_enough(ps, GENERICITY_BOUND):
             return ps
     raise RuntimeError("could not sample generic parameters (seed=%r)" % seed)
 

@@ -40,25 +40,11 @@ def compositions(N, M):
 def s_of_m(mvec):
     """The truncated support lattice S(m): tuples (theta_1..theta_{N-1})
     with theta_1 <= m_1, theta_i - theta_{i-1} <= m_i, -theta_{N-1} <= m_N.
-    Listed in the deterministic order induced by the shifted coordinates."""
-    N = len(mvec)
-    M = sum(mvec)
-    if N == 1:
-        return [()]
-    suffix = [sum(mvec[a + 1:]) for a in range(N - 1)]
-    shifted = []
-
-    def rec(prefix, a):
-        # weakly decreasing shifted coordinates tilde in [0, M]
-        if a == N - 1:
-            shifted.append(tuple(prefix))
-            return
-        hi = M if a == 0 else prefix[-1]
-        for t in range(hi, -1, -1):
-            rec(prefix + [t], a + 1)
-
-    rec([], 0)
-    return [tuple(til[a] - suffix[a] for a in range(N - 1)) for til in shifted]
+    Listed in the order of I_M: the a-th class is the image of the a-th
+    composition under ``composition_to_support``, so matrices on S(m) and
+    on I_M share one index order."""
+    return [composition_to_support(i, mvec)
+            for i in compositions(len(mvec), sum(mvec))]
 
 
 def support_to_composition(sigma, mvec):
@@ -248,7 +234,7 @@ def b2_specialized(ivec, jvec, lam, M, ctx):
         * phi_kernel(ivec[:-1], jvec[:-1], spow(ctx.q, -M), 1 / lam, ctx)
 
 
-def b1_specialized(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
+def b1_specialized(ivec, jvec, lam, mus, M, ctx):
     """Closed form of the first basis at the reference points (valid for
     arbitrary mass scalars mu_a through the confluent kernel)."""
     N = len(ivec)
@@ -307,12 +293,12 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
     f = ctx.field
     ibar = ivec[:-1]
     jbar = jvec[:-1]
-    sum_i2 = sum(x * x for x in ivec)
-    sum_j2 = sum(x * x for x in jvec)
 
     # prefactor of the bilinear kernel sum:
-    # q^{(<c,j> - <j,j> - <i,c> + <i,i>)/2}
-    pref = ctx.qpow_half((sum_j2 - sum_i2) // 2)
+    # q^{(<c,j> - <j,j> - <i,c> + <i,i>)/2}.  Its pure q-power
+    # q^{(<i,i> - <j,j>)/2} cancels the inverse one of the scalar
+    # prefactor below, so neither is applied; the mass part remains.
+    pref = f.one
     suf = sum(jvec)
     for a in range(N):
         suf -= jvec[a]
@@ -337,7 +323,6 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
 
     # scalar prefactor carrying the half-powers of the masses
     cpre = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2)
-    cpre = cpre * ctx.qpow_half((sum_i2 - sum_j2) // 2)
     for a in range(N):
         cpre = cpre * spow(sqrt_mus[a], -M + 2 * ivec[a] - jvec[a])
     acc = 0
@@ -408,30 +393,45 @@ def finite_poch_product(prefactors, lengths, ctx):
     return out
 
 
-def truncated_equation_matrix(mvec, mus, lam, ctx, side):
-    """Matrix on the S(m) lattice of one side of the terminated equation
-    (shift operator removed): the normal-ordered product of finite
-    Pochhammer factors times the Borel weight q^{+Delta/2} (mass side,
-    prefactors q^{-m_i+theta'_i} mu_i) or q^{-Delta/2} (plain side,
-    prefactors q^{-m_i}).  Wrap-arounds of the exponent lattice carry
-    powers of the scalar lam."""
+def terminated_side(mvec, mus, ctx, side):
+    """One side of the terminated equation, shift operator removed, as a
+    normal-ordered expansion: theta -> [(k, coefficient of x^{theta+k})].
+    The coefficients are the Borel weight q^{+Delta(theta)/2} (mass side)
+    or q^{-Delta(theta)/2} (plain side) times the expansion of
+    prod_i (A_i x_i; q)_{m_i - theta'_i}, theta'_i = theta_i - theta_{i-1},
+    with A_i = q^{-m_i+theta'_i} mu_i (mass side) or q^{-m_i} (plain
+    side)."""
     N = len(mvec)
-    S = s_of_m(mvec)
-    index = {s: a for a, s in enumerate(S)}
-    f = ctx.field
-    mat = [[f.zero] * len(S) for _ in range(len(S))]
-    for aa, sig in enumerate(S):
-        th = tuple(sig) + (0,)
+    mass = side == "mass"
+
+    def expand(th):
         thp = [th[i] - th[i - 1] for i in range(N)]
-        borel = ctx.qpow_half((1 if side == "mass" else -1) * delta_quadratic(th))
-        prefs = [spow(ctx.q, -mvec[i] + thp[i]) * mus[i] if side == "mass"
+        delta = delta_quadratic(th)
+        borel = ctx.qpow_half(delta if mass else -delta)
+        prefs = [spow(ctx.q, -mvec[i] + thp[i]) * mus[i] if mass
                  else spow(ctx.q, -mvec[i]) for i in range(N)]
         lengths = [mvec[i] - thp[i] for i in range(N)]
-        for kv, c in finite_poch_product(prefs, lengths, ctx):
-            nt = tuple(th[i] + kv[i] for i in range(N))
-            w = nt[N - 1]
-            rep = tuple(nt[i] - w for i in range(N - 1))
-            mat[index[rep]][aa] = mat[index[rep]][aa] + borel * c * spow(lam, w)
+        return [(kv, borel * c)
+                for kv, c in finite_poch_product(prefs, lengths, ctx)]
+    return expand
+
+
+def truncated_equation_matrix(mvec, mus, lam, ctx, side):
+    """Matrix of ``terminated_side`` on the S(m) lattice, in the order of
+    ``s_of_m`` (that of I_M): the class theta of S(m) is the exponent
+    (theta, 0), and wrap-arounds of the exponent lattice carry powers of
+    the scalar lam."""
+    S = s_of_m(mvec)
+    index = {s: a for a, s in enumerate(S)}
+    expand = terminated_side(mvec, mus, ctx, side)
+    mat = [[ctx.field.zero] * len(S) for _ in S]
+    for aa, sig in enumerate(S):
+        th = tuple(sig) + (0,)
+        for kv, c in expand(th):
+            nt = [t + k for t, k in zip(th, kv)]
+            w = nt[-1]
+            rep = tuple(t - w for t in nt[:-1])
+            mat[index[rep]][aa] = mat[index[rep]][aa] + c * spow(lam, w)
     return mat, S
 
 
@@ -491,13 +491,13 @@ class GaugeMatchReport:
                 "right_exponents": self.right_exponents, "note": self.note}
 
 
-def _rank_one_diagonals(H, R, bij):
+def _rank_one_diagonals(H, R):
     n = len(H)
     rho = []
     for a in range(n):
         row = []
         for b in range(n):
-            r = R[bij[a]][bij[b]]
+            r = R[a][b]
             h = H[a][b]
             if (not r) != (not h):
                 return None
@@ -517,9 +517,9 @@ def _rank_one_diagonals(H, R, bij):
     return left, right
 
 
-def _monomial_recognizer(ctx, mus, lam, lam_bound, bound, mass_bound=2):
+def _monomial_recognizer(ctx, mus, lam, lam_bound, bound):
     """A function recognizing x as +- q^{e/2} prod mus[a]^{g_a} lam^{h}
-    with |e| <= bound, |g_a| <= mass_bound and |h| <= lam_bound: it returns
+    with |e| <= bound, |g_a| <= 2 and |h| <= lam_bound: it returns
     (sign, e, gvec, h) or None, preferring small |h| + sum |g_a|.  Where
     two (sign, e) give the same value, sign +1 and then the smaller e is
     reported."""
@@ -533,8 +533,7 @@ def _monomial_recognizer(ctx, mus, lam, lam_bound, bound, mass_bound=2):
     for _, h, gvec in sorted(
             (abs(h) + sum(abs(g) for g in gvec), h, gvec)
             for h in range(-lam_bound, lam_bound + 1)
-            for gvec in exponent_vectors((-mass_bound,) * len(mus),
-                                         (mass_bound,) * len(mus))):
+            for gvec in exponent_vectors((-2,) * len(mus), (2,) * len(mus))):
         scale = spow(lam, -h)
         for m, g in zip(mus, gvec):
             scale = scale * spow(m, -g)
@@ -581,11 +580,9 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
     if M == 0:
         return GaugeMatchReport(True, {"lam_shift": 0, "mu_shifts": [0] * N},
                                 [(1, 0)], [(1, 0)], "trivial (single class)")
-    A, S = truncated_equation_matrix(mvec, mus, lam, ctx, "mass")
+    A, _ = truncated_equation_matrix(mvec, mus, lam, ctx, "mass")
     B, _ = truncated_equation_matrix(mvec, mus, lam, ctx, "plain")
     H = mat_mul(B, exact_inverse(A, ctx.field))
-    idx = compositions(N, M)
-    bij = [idx.index(support_to_composition(s, mvec)) for s in S]
 
     lam2 = spow(ctx.q, -1) * lam
     mus2 = [spow(ctx.q, -mvec[a]) * mus[a] for a in range(N)]
@@ -595,7 +592,7 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
     except (ZeroDivisionError, ArithmeticError):
         got = None
     else:
-        got = _rank_one_diagonals(H, R, bij)
+        got = _rank_one_diagonals(H, R)
     if got is None:
         return GaugeMatchReport(False, None, None, None,
                                 "no constant diagonal gauge in the scanned "
@@ -617,14 +614,14 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
                             lexp, rexp, note)
 
 
-def draw_mass_data(rng, field, ctx, N, M, max_tries=50):
+def draw_mass_data(rng, field, ctx, N, M):
     """Masses (with square roots) and a free parameter for the connection
     problem, redrawing until none of the explicit pole factors vanish.
 
     The last check holds the denominators (lam mu_N q^{-|i|-|k|}; q)_{|i|}
     of ``phi_kernel_masslike`` in ``closed_matrix``: their factors are
     1 - lam mu_N q^e with -2M <= e <= -1."""
-    for _ in range(max_tries):
+    for _ in range(50):
         sqrt_mus, mus = [], []
         for _ in range(N):
             s, u = rand_square(rng, field)

@@ -199,11 +199,6 @@ def test_verify_conjecture_detects_wrong_series():
     assert not (apply_hamiltonian(spec, psi) - psi).is_zero()
 
 
-def test_gauge_covariance_rescaling():
-    rep = verify_conjecture(2, 3, seed=7, gauge_scale=Fraction(5, 3))
-    assert rep.ok
-
-
 def test_mass_truncation_support_and_equation():
     sup, eq, psi = check_mass_truncated_equation(2, (1, 1), 4)
     assert sup and eq

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -17,6 +18,7 @@ from qlaumon.rmatrix import (b1_specialized, b2_inverse_entry, b2_specialized,
                              support_to_composition, truncated_equation_matrix,
                              weight_shells)
 from qlaumon.scalars import spow
+from qlaumon.series import exponent_vectors
 
 
 def ctx_and_rng(seed, N, mode="rational"):
@@ -61,6 +63,36 @@ def test_support_table_for_rank_three():
     # ten classes at total three, independent of the split
     for m in compositions(3, 3):
         assert len(s_of_m(m)) == 10
+
+
+def test_support_matches_brute_force_box():
+    # S(m) against the points of the box [-M, M]^{N-1} that satisfy its
+    # three inequalities, every m with N <= 5, M <= 5
+    for N in range(1, 6):
+        for M in range(0, 6):
+            box = exponent_vectors((-M,) * (N - 1), (M,) * (N - 1))
+            for m in compositions(N, M):
+                def inside(th):
+                    ext = (0,) + th + (0,)
+                    return all(ext[i + 1] - ext[i] <= m[i] for i in range(N))
+                expect = {th for th in box if inside(th)}
+                S = s_of_m(m)
+                assert len(S) == len(set(S))
+                assert set(S) == expect, m
+
+
+def test_support_is_listed_in_composition_order():
+    # the a-th class of S(m) is the image of the a-th composition of I_M;
+    # the digest pins the whole listing over N <= 5, M <= 5
+    digest = hashlib.sha1()
+    for N in range(1, 6):
+        for M in range(0, 6):
+            for m in compositions(N, M):
+                S = s_of_m(m)
+                assert S == [composition_to_support(i, m)
+                             for i in compositions(N, M)]
+                digest.update(repr((m, S)).encode())
+    assert digest.hexdigest() == "bc958a6f51c7923ea79ee499bf1dc93b4e43e41a"
 
 
 def test_polyhedron_vertices():
@@ -170,7 +202,7 @@ def test_specializations_match_direct_evaluation():
             assert base_polynomial(2, i, pt, lam, mus, ctx) == \
                 b2_specialized(i, j, lam, M, ctx)
             assert base_polynomial(1, i, pt, lam, mus, ctx) == \
-                b1_specialized(i, j, lam, mus, sqrt_mus, M, ctx)
+                b1_specialized(i, j, lam, mus, M, ctx)
 
 
 def test_closed_inverse_inverts():
@@ -278,6 +310,27 @@ def test_monomial_recognizer_reads_exponents():
         x = -ctx.qpow_half(3) * spow(mus[0], -1) * spow(lam, 2)
         assert recognize(x) == (-1, 3, [-1, 0], 2), mode
         assert recognize(1 + ctx.q) is None, mode
+
+
+def test_truncated_equation_matrix_pinned():
+    # sha1 of (S, matrix) for both sides over Q and GF(p)
+    pins = {
+        ((1, 1), "rational", "mass"): "141219a8a0cc23bb2726daa278860f03a955541d",
+        ((1, 1), "rational", "plain"): "e18f28b11836e6491a538546e88ee787d6487f73",
+        ((1, 1), "prime", "mass"): "d22cbe9982427816f8ad5e3d3e654030f2153eba",
+        ((1, 1), "prime", "plain"): "b37f074b3afc2d21e4436bce30874be167a62ad4",
+        ((1, 1, 0), "rational", "mass"): "150b5cf5d7f3e9ad976333c09a5e4cc38d71bf8c",
+        ((1, 1, 0), "rational", "plain"): "94eaf10f4f4bcc26efffa27f684d8f61ab462534",
+        ((1, 1, 0), "prime", "mass"): "e1009fdcf2b88447bc765c3b2d70cfba1548a107",
+        ((1, 1, 0), "prime", "plain"): "47390c0b2c4b12ab61a568839c761091ea6f5848",
+    }
+    for (mvec, mode, side), pin in pins.items():
+        ps, ctx, rng = ctx_and_rng(51, len(mvec), mode)
+        mus = [rand_square(rng, ps.field)[1] for _ in mvec]
+        lam = rand_square(rng, ps.field)[1]
+        mat, S = truncated_equation_matrix(mvec, mus, lam, ctx, side)
+        got = hashlib.sha1(repr((S, mat)).encode()).hexdigest()
+        assert got == pin, (mvec, mode, side)
 
 
 def test_truncated_equation_matrix_respects_support():
