@@ -30,8 +30,8 @@ from .nekrasov import (LaumonParams, check_inversion_symmetry,
                        laumon_partition_function, nek_context)
 from .params import sample_params, rand_square
 from .qfun import QContext
-from .rmatrix import (b2_triangular_zeros, closed_matrix,
-                      composition_to_support, compositions,
+from .rmatrix import (ConnectionCheckFailed, b2_triangular_zeros,
+                      closed_matrix, composition_to_support, compositions,
                       connection_matrix, draw_mass_data,
                       gauge_match_to_hamiltonian, s_of_m,
                       support_polyhedron_vertices, support_size_formula,
@@ -179,13 +179,20 @@ def cmd_rmatrix(args):
     rng = random.Random(("rmatrix", args.seed, N, M).__repr__())
     mus, sqrt_mus, lam = draw_mass_data(rng, ps.field, ctx, N, M)
     extra = [[rand_square(rng, ps.field)[1] for _ in range(N)] for _ in range(3)]
+    # a failed identity is a failed check (exit 1); any other arithmetic
+    # error, such as a zero division, is a degenerate draw (exit 2)
     try:
         rc, idx = connection_matrix(N, M, lam, mus, ctx, residual_points=extra)
         rx, _ = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
-    except (ArithmeticError, ZeroDivisionError) as exc:
+        failure = None
+    except ConnectionCheckFailed as exc:
+        rc = rx = None
+        failure = {"failure": str(exc)}
+    except ArithmeticError as exc:
         raise UsageError("degenerate parameters: %s" % exc)
-    rep.add("closed-inverse-and-residuals", True)
-    rep.add("closed-form-equals-connection", rc == rx)
+    rep.add("closed-inverse-and-residuals", failure is None, failure)
+    rep.add("closed-form-equals-connection", rc == rx,
+            skipped=failure is not None)
     rep.add("triangular-zero-pattern",
             not b2_triangular_zeros(N, M, lam, ctx))
     shells = weight_shells(N, M)
@@ -198,7 +205,7 @@ def cmd_rmatrix(args):
     # the search is an experimental report, so not-found is not a failure
     rep.add("gauge-match", gauge.found, gauge.as_dict(),
             skipped=(not gauge.found and N > 2))
-    if args.emit_matrix:
+    if args.emit_matrix and rc is not None:
         rep.payload["indices"] = [list(i) for i in idx]
         rep.payload["matrix"] = [[scalar_str(v) for v in row] for row in rc]
     return rep
@@ -288,7 +295,7 @@ def _suite_4d(rep, args):
             == k_difference_formula(nu, m, mbar, gam, pt))
     ap = AdditiveParams.sample(args.seed, 2)
     through, bad = fst_check(ap, 4)
-    rep.add("annihilation-n2-deg4", through >= 2,
+    rep.add("annihilation-n2-deg4", through == 4,
             {"vanishes_through": through})
 
 

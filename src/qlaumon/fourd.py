@@ -4,8 +4,8 @@ Jets q = 1 + h with h^2 = 0 extract first-order coefficients of the
 q-identities exactly.  The limit partition function is the instanton sum
 of ``nekrasov`` with every single bracket [q^E] replaced by its additive
 exponent E, so that a row bracket [q^E; q]_n becomes E (E+1) ... (E+n-1).
-It runs on the q-builder's row walk (``nekrasov._row_product``) and memos
-(``nekrasov.pair_weights``).  The powers of h cancel identically: the row
+It runs on the q-builder's skeleton and evaluation
+(``nekrasov.skeleton_sum``).  The powers of h cancel identically: the row
 walk reads no part of mu in the index ranges of the rows of lam, and no
 part of lam in those of mu, so the color-k pair (lam, mu) has
 A_k(lam) + B_k(mu) factors and numerator and denominator counts agree
@@ -23,8 +23,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, factorial
+from operator import sub
 
-from .nekrasov import _row_product, instanton_sum, pair_weights
+from .nekrasov import skeleton_sum
 from .scalars import Jet, RATIONAL
 from .series import MultiSeries, normal_ordered_dynamic_op
 
@@ -177,29 +178,22 @@ class AdditiveParams:
 def laumon_4d(ap, cap):
     """Leading jet of the solution series in the additive parametrization:
     exact rational coefficients.  It is the q-deformed instanton sum
-    (``nekrasov.pair_weights``, ``nekrasov.instanton_sum``) with each
-    single bracket [u q^{a/2} kappa^{f/2}] replaced by its additive
-    exponent E + a + f eps, where E = x - y is the difference of the
-    additive exponents of the pair's two arguments.  A vanishing
-    vector-multiplet form raises DegenerateParameters; a vanishing
-    numerator form gives the coefficient zero."""
+    (``nekrasov.skeleton_sum``) with each single bracket
+    [u q^{a/2} kappa^{f/2}] replaced by its additive exponent
+    E + a + f eps, where E = x - y is the difference of the additive
+    exponents of the pair's two arguments.  A vanishing vector-multiplet
+    form raises DegenerateParameters; a vanishing numerator form gives
+    the coefficient zero."""
     N, eps = ap.N, ap.eps
     raw = RATIONAL.raw
 
-    def pair(x, y, k):
-        E, singles = x - y, {}
-
-        def single(a, f):
-            return raw(E + a + f * eps)
-
-        return lambda lam, mu: _row_product(k % N, N, lam, mu, single,
-                                            singles, RATIONAL)
+    def singles(E, keys):
+        return [raw(E + a + f * eps) for a, f in keys]
 
     # a_i = q kappa b_{i-1} / d_{i-1} and c_j = b_j / dbar_j
     xa = [1 + eps + ap.betas[i - 1] - ap.m[i - 1] for i in range(N)]
     xc = [ap.betas[j] - ap.mbar[j] for j in range(N)]
-    return instanton_sum(N, cap, pair_weights(N, RATIONAL, pair, xa,
-                                              ap.betas, xc), RATIONAL)
+    return skeleton_sum(N, cap, RATIONAL, sub, singles, xa, ap.betas, xc)
 
 
 # -- the annihilating operator -------------------------------------------------
@@ -255,8 +249,9 @@ def annihilator_op(ap, cap):
 
 def fst_check(ap, cap):
     """Apply the annihilator to the limit series; report the largest
-    degree through which the result vanishes and the first offender (the
-    contract requires vanishing through cap - N)."""
+    degree through which the result vanishes and the first offender.  The
+    result at degree d reads the series only through degree d, so on the
+    true parameters it vanishes through the full cap."""
     psi = laumon_4d(ap, cap)
     res = annihilator_op(ap, cap)(psi)
     by_degree = res.degrees()

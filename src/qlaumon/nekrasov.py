@@ -13,24 +13,37 @@ of partitions graded by colored box counts; its vector-multiplet
 denominator is nonzero for the generic parameter sets produced by
 ``params.sample_params``.
 
-One build of the partition function memoizes at three levels (see
-``pair_weights``): the single factors of each pair argument u on (a, b)
-(brackets [u q^{a/2} kappa^{b/2}], or 1 - u q^a kappa^b), the
-vector-multiplet pair factors on their partitions, and the numerator of
-each slot on (slot, partition).  The four-dimensional limit
-(``fourd.laumon_4d``) builds on the same row walk, memos and tuple sum,
-with the additive exponent E + a + b eps as its single factor.  The memos
-and the products hold the field's raw form (``scalars.Field``): plain
-residues in GF(p), and over Q (numerator, denominator) pairs of ints
-multiplied apart and never cancelled, so that a tuple's one division is
-its only gcd.
+A build of the partition function comes in two parts.  The skeleton
+(``instanton_skeleton``) reads no parameter and no field: the tuples and
+their exponents, the ids of each tuple's N^2 vector-multiplet (dd)
+factors and N slot numerators, and each distinct factor's argument,
+partitions and row plan, the indices of the single factors (a, f) its
+row walk multiplies.  It is made once per (N, cap) and cached, in flat
+arrays of small ints.  The evaluation (``skeleton_sum``) runs per
+parameter set: each argument's single factors in one pass (brackets
+[u q^{a/2} kappa^{f/2}], or 1 - u q^a kappa^f, with all the inverses of
+an argument's brackets taken at once), each distinct factor once as a
+product over its plan (sinh factors through ``nek_sinh``), each slot
+numerator and each tuple's dd product once, one batch inversion of the
+tuple denominators, and one sum per exponent.  The four-dimensional limit
+(``fourd.laumon_4d``) is the same evaluation with the additive exponent
+E + a + f eps as its single factor.  Values are held in the field's raw
+form (``scalars.Field``): plain residues in GF(p), and over Q
+(numerator, denominator) pairs of ints multiplied apart and never
+cancelled, so that a tuple's weight is its only gcd.  The per-tuple
+weights of ``pair_weights``, on the row walk ``_row_product`` and its
+memos, and their sum ``instanton_sum`` stay as the oracle.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from array import array
+from functools import cache, lru_cache, partial
+from itertools import accumulate
+from operator import truediv
 
-from .partitions import (colored_counts, conjugate, enumerate_tuples, part)
+from .partitions import (colored_counts, conjugate, enumerate_tuples, part,
+                         partitions_up_to)
 from .qfun import QContext, bracket_base, single_bracket
 from .scalars import spow
 from .series import (MultiSeries, add_term, compose, delta_quadratic,
@@ -88,33 +101,19 @@ class DegenerateParameters(Exception):
 # -- factor evaluations ----------------------------------------------------
 
 
-def _row_product(k, N, lam, mu, single, singles, field):
-    """Product of the single factors single(a, f) of the color-k pair
-    (lam, mu), row by row, in the raw form of ``field`` (``Field.raw``).
+def _row_keys(k, N, lam, mu):
+    """The keys (a, f) of the single factors of the color-k pair
+    (lam, mu), in the order of the row walk.
 
     First product: rows j of lam against the congruence j - i = k (mod N),
     n = lam_j - lam_{j+1} factors; second product: rows beta of mu
     against beta - alpha = -k-1 (mod N), n = mu_beta - mu_{beta+1}
     factors.  Rows beyond the diagram lengths contribute nothing.  The
-    factors of a row pair sit at (e + t, f), t < n, for one (e, f); each
-    is memoized in ``singles`` (a dict, or None for a fresh one) on its
-    (a, f).  The row ranges of lam read nothing of mu and those of mu
-    nothing of lam, so the number of factors is a count of lam plus a
-    count of mu (``nek_bracket_count``).
+    factors of a row pair sit at (e + t, f), t < n, for one (e, f).  The
+    row ranges of lam read nothing of mu and those of mu nothing of lam,
+    so the number of factors is a count of lam plus a count of mu
+    (``nek_bracket_count``).
     """
-    if singles is None:
-        singles = {}
-    mul = field.mul
-    out = field.raw(field.one)
-
-    def times_row(out, e, f, n):
-        for a in range(e, e + n):
-            v = singles.get((a, f))
-            if v is None:
-                v = singles[a, f] = single(a, f)
-            out = mul(out, v)
-        return out
-
     # 1-based rows padded with zeros: lr[j] = part(lam, j) and
     # mr[i] = part(mu, i) at every index read below
     lr = (0,) + tuple(lam) + (0,) * (len(mu) + 1)
@@ -125,18 +124,42 @@ def _row_product(k, N, lam, mu, single, singles, field):
             continue
         start = (j - k - 1) % N + 1
         for i in range(start, j + 1, N):
-            out = times_row(out, -mr[i] + lr[j + 1], j - i, n)
+            e = -mr[i] + lr[j + 1]
+            for a in range(e, e + n):
+                yield a, j - i
     for beta in range(1, len(mu) + 1):
         n = mr[beta] - mr[beta + 1]
         if n == 0:
             continue
         start = (beta + k) % N + 1
         for alpha in range(start, beta + 1, N):
-            out = times_row(out, lr[alpha] - mr[beta], alpha - beta - 1, n)
+            e = lr[alpha] - mr[beta]
+            for a in range(e, e + n):
+                yield a, alpha - beta - 1
+
+
+def _row_product(k, N, lam, mu, single, singles, field):
+    """Product of the single factors single(a, f) of the color-k pair
+    (lam, mu) over the keys of ``_row_keys``, in the raw form of
+    ``field`` (``Field.raw``).  Each single factor is memoized in
+    ``singles`` (a dict, or None for a fresh one) on its (a, f).  This is
+    the row walk of one factor at a time; the partition function walks
+    each row once per (N, cap) (``instanton_skeleton``) and keeps this as
+    its oracle.
+    """
+    if singles is None:
+        singles = {}
+    mul = field.mul
+    out = field.raw(field.one)
+    for key in _row_keys(k, N, lam, mu):
+        v = singles.get(key)
+        if v is None:
+            v = singles[key] = single(*key)
+        out = mul(out, v)
     return out
 
 
-def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
+def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None, plan=None):
     """Color-k sinh-type factor, row-indexed double product, in the raw
     form of the field (``Field.raw``; ``Field.wrap`` gives the scalar).
 
@@ -145,7 +168,14 @@ def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None):
     [u q^{(e+t)/2} kappa^{f/2}] (see ``_row_product``).  They are
     memoized in ``singles`` on (e + t, f): pass one dict per argument
     sqrt_u to share them across calls, so that each costs one inversion.
+
+    With ``plan``, the row walk was done beforehand
+    (``instanton_skeleton``): ``singles`` is then the list of the raw
+    single brackets of the argument sqrt_u and ``plan`` the indices into
+    it of this factor's brackets, and the factor is their product.
     """
+    if plan is not None:
+        return nc.field.prod(map(singles.__getitem__, plan))
     qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, nc.field.raw
 
     def single(a, f):
@@ -296,10 +326,189 @@ def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
 # -- partition function ------------------------------------------------------
 
 
+class InstantonSkeleton:
+    """The part of the instanton sum at (N, cap) that reads no parameter
+    and no field; built by ``instanton_skeleton``, read by
+    ``skeleton_sum``.  Everything is a flat ``array`` of small ints.  One
+    skeleton is shared through the cache by every build at (N, cap), so
+    it is only ever read.
+
+    The 3 N^2 pair arguments are numbered g = r N^2 + i N + j with role r
+    = 0 (n1: x_a[i], x_b[j]), 1 (n2: x_b[i], x_c[j]) or 2 (dd: x_b[i],
+    x_b[j]), color (j - i) mod N.  Partitions are numbered by their index
+    in ``parts`` (``partitions_up_to(cap)``, so 0 is the empty one).
+
+      * argument g: the single-factor keys (a, f) its factors read, in
+        first-read order, at ``key_a`` and ``key_f``
+        [``key_bounds[g]``:``key_bounds[g + 1]``] (``keys_of``);
+      * factor f: its argument ``fac_arg[f]``, its partitions
+        ``fac_lam[f]`` and ``fac_mu[f]``, and its row plan
+        ``plan[plan_bounds[f]:plan_bounds[f + 1]]``, the indices into
+        the keys of its argument of the single factors the row walk
+        (``_row_keys``) multiplies;
+      * slot numerator s = p P + l (slot p, partition l): its 2 N
+        factors, n1 (i, p) on ((), lam) then n2 (p, j) on (lam, ()), are
+        the factors 2 N s to 2 N (s + 1) - 1;
+      * tuple t, in ``enumerate_tuples`` order: its slot numerators at
+        ``slots[N t:N (t + 1)]`` and its dd factors (i, j), row-major, at
+        ``dd[N^2 t:N^2 (t + 1)]``;
+      * exponent e, in first-occurrence order: its N colored counts at
+        ``exps[N e:N (e + 1)]`` and its tuples
+        ``by_exp[exp_bounds[e]:exp_bounds[e + 1]]``.
+    """
+
+    __slots__ = ("N", "parts", "key_a", "key_f", "key_bounds", "fac_arg",
+                 "fac_lam", "fac_mu", "plan", "plan_bounds", "slots", "dd",
+                 "exps", "by_exp", "exp_bounds")
+
+    def keys_of(self, g):
+        """The keys of argument g: the arrays of their a and of their f."""
+        lo, hi = self.key_bounds[g], self.key_bounds[g + 1]
+        return self.key_a[lo:hi], self.key_f[lo:hi]
+
+    def tuple_at(self, t):
+        """Tuple t of partitions."""
+        N, P = self.N, len(self.parts)
+        return tuple(self.parts[s - p * P]
+                     for p, s in enumerate(self.slots[N * t:N * (t + 1)]))
+
+
+@lru_cache(maxsize=16)
+def instanton_skeleton(N, cap):
+    """The ``InstantonSkeleton`` of the instanton sum at (N, cap): tuples,
+    exponents, factor ids and row plans, made once per (N, cap) by one
+    pass of the row walk over each distinct factor."""
+    sk = InstantonSkeleton()
+    sk.N = N
+    sk.parts = parts = tuple(partitions_up_to(cap))
+    P, M = len(parts), N * N
+    pid = {lam: l for l, lam in enumerate(parts)}
+    keys = [{} for _ in range(3 * M)]
+    ids = {}
+    fac_arg, fac_lam, fac_mu = array("i"), array("i"), array("i")
+    plan, bounds = array("i"), array("i", [0])
+
+    def factor(g, l, m):
+        f = ids.get((g * P + l) * P + m)
+        if f is None:
+            f = ids[(g * P + l) * P + m] = len(fac_arg)
+            fac_arg.append(g)
+            fac_lam.append(l)
+            fac_mu.append(m)
+            at = keys[g]
+            plan.extend(at.setdefault(key, len(at)) for key in _row_keys(
+                (g % N - g // N) % N, N, parts[l], parts[m]))
+            bounds.append(len(plan))
+        return f
+
+    for p in range(N):
+        for l in range(P):
+            for i in range(N):
+                factor(i * N + p, 0, l)
+            for j in range(N):
+                factor(M + p * N + j, l, 0)
+
+    exp_ids = {}
+    slots, dd, texp = array("i"), array("i"), array("i")
+    for tup in enumerate_tuples(N, cap):
+        ls = [pid[lam] for lam in tup]
+        slots.extend([p * P + l for p, l in enumerate(ls)])
+        dd.extend([factor(2 * M + i * N + j, ls[i], ls[j])
+                   for i in range(N) for j in range(N)])
+        texp.append(exp_ids.setdefault(colored_counts(tup, N), len(exp_ids)))
+    counts = [0] * len(exp_ids)
+    for e in texp:
+        counts[e] += 1
+    sk.exps = _packed([c for exp in exp_ids for c in exp])
+    sk.by_exp = _packed(sorted(range(len(texp)), key=texp.__getitem__))
+    sk.exp_bounds = _packed(list(accumulate(counts, initial=0)))
+    sk.fac_arg, sk.fac_lam, sk.fac_mu = map(_packed, (fac_arg, fac_lam, fac_mu))
+    sk.plan, sk.plan_bounds = _packed(plan), _packed(bounds)
+    sk.slots, sk.dd = _packed(slots), _packed(dd)
+    sk.key_a = _packed([a for at in keys for a, _ in at])
+    sk.key_f = _packed([f for at in keys for _, f in at])
+    sk.key_bounds = _packed(list(accumulate(map(len, keys), initial=0)))
+    return sk
+
+
+def _packed(values):
+    """The sequence of ints ``values`` in an array of the narrowest type
+    (1, 2 or 4 bytes, unsigned unless a value is negative) that holds
+    them all."""
+    codes = "BHI" if min(values, default=0) >= 0 else "bhi"
+    for code in codes[:-1]:
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array(codes[-1], values)
+
+
+def skeleton_sum(N, cap, field, argument, singles, xa, xb, xc, factor=None):
+    """The instanton sum at (N, cap) over ``field``, evaluated on its
+    skeleton (``instanton_skeleton``) for one parameter set.
+
+    ``argument(x, y)`` forms the argument of a pair from two parameters;
+    ``singles(u, keys)`` returns the raw single factors of the argument u
+    at the keys (a, f), as a list; ``factor(k, N, lam, mu, u,
+    singles=values, plan=plan)``, if given, returns the raw color-k factor
+    of (lam, mu) at u from the list ``values`` of its argument's single
+    factors and its plan (``nek_sinh``'s form), and defaults to the
+    product over the plan.  The weight of a tuple is the
+    product over slot pairs (i, j) of n1 n2 / dd as in ``pair_weights``,
+    which stays the oracle: each distinct factor is evaluated once, each
+    slot numerator and each tuple's dd product once, the tuple
+    denominators are inverted together (``Field.inverses``) and the
+    weights of each exponent summed with ``Field.total``.  A vanishing dd
+    product raises DegenerateParameters with the first such tuple and its
+    first zero pair in row-major order, as ``pair_weights`` does."""
+    sk = instanton_skeleton(N, cap)
+    prod, parts = field.prod, sk.parts
+    args = [argument(x, y) for xs, ys in ((xa, xb), (xb, xc), (xb, xb))
+            for x in xs for y in ys]
+    values = [singles(u, zip(*sk.keys_of(g))) for g, u in enumerate(args)]
+    plan, bounds = sk.plan, sk.plan_bounds
+    if factor is None:
+        fac = [prod(map(values[g].__getitem__, plan[bounds[f]:bounds[f + 1]]))
+               for f, g in enumerate(sk.fac_arg)]
+    else:
+        fac = [factor((g % N - g // N) % N, N, parts[l], parts[m], args[g],
+                      singles=values[g], plan=plan[bounds[f]:bounds[f + 1]])
+               for f, (g, l, m) in enumerate(zip(sk.fac_arg, sk.fac_lam,
+                                                 sk.fac_mu))]
+    get, M, two = fac.__getitem__, N * N, 2 * N
+    slots, dd = sk.slots, sk.dd
+    numerators = [prod(fac[two * s:two * (s + 1)])
+                  for s in range(N * len(parts))]
+    T = len(slots) // N
+    dens = [prod(map(get, dd[M * t:M * (t + 1)])) for t in range(T)]
+    try:
+        inv = field.inverses(dens)
+    except ZeroDivisionError:
+        wrap = field.wrap
+        for t, den in enumerate(dens):
+            if not wrap(den):
+                c = next(c for c in range(M) if not wrap(fac[dd[M * t + c]]))
+                raise DegenerateParameters(sk.tuple_at(t),
+                                           (c // N + 1, c % N + 1))
+        raise
+    nget, mul = numerators.__getitem__, field.mul
+    weights = [mul(prod(map(nget, slots[N * t:N * (t + 1)])), v)
+               for t, v in enumerate(inv)]
+    out = MultiSeries.zero(N, cap, field)
+    total, by_exp, eb, exps = field.total, sk.by_exp, sk.exp_bounds, sk.exps
+    for e in range(len(eb) - 1):
+        v = total(map(weights.__getitem__, by_exp[eb[e]:eb[e + 1]]))
+        if v:
+            out.terms[tuple(exps[N * e:N * (e + 1)])] = v
+    return out
+
+
 def instanton_sum(N, cap, weight, field):
     """The sum of ``weight(tup)`` times x^{colored counts of tup} over the
     N-tuples of partitions of total size at most ``cap``, as a
-    MultiSeries over ``field``."""
+    MultiSeries over ``field``: the per-tuple oracle of
+    ``skeleton_sum``."""
     out = MultiSeries.zero(N, cap, field)
     for tup in enumerate_tuples(N, cap):
         add_term(out.terms, colored_counts(tup, N), weight(tup))
@@ -310,18 +519,49 @@ def laumon_partition_function(lp, cap, kind="sinh"):
     """Partition function as a MultiSeries in the N expansion slots,
     truncated at total colored degree ``cap``.  kind is "sinh" or "poch".
     Constant term is one; a vanishing vector-multiplet denominator raises
-    DegenerateParameters."""
-    return instanton_sum(lp.N, cap, tuple_weights(lp, kind), lp.nc.field)
+    DegenerateParameters.
+
+    It is ``skeleton_sum`` with the factors of ``tuple_weights``: the
+    sinh single brackets [x] = 1/x - x of x = sqrt_u q^{a/2} kappa^{f/2},
+    all x of an argument inverted at once, each factor made by
+    ``nek_sinh`` from its plan; or the Pochhammer single factors
+    1 - u q^a kappa^f."""
+    N, nc = lp.N, lp.nc
+    field = nc.field
+    qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, field.raw
+    if kind == "sinh":
+        sub, inverses = field.sub, field.inverses
+
+        def singles(sqrt_u, keys):
+            xs = [raw(sqrt_u * qpow(a) * kpow(f)) for a, f in keys]
+            return list(map(sub, inverses(xs), xs))
+
+        # the module global, looked up per build: a wrapper installed on
+        # nek_sinh sees every factor
+        return skeleton_sum(N, cap, field, truediv, singles, lp.sqrt_a,
+                            lp.sqrt_b, lp.sqrt_c, partial(nek_sinh, nc=nc))
+    one = field.one
+
+    def singles(u, keys):
+        return [raw(one - u * qpow(2 * a) * kpow(2 * f)) for a, f in keys]
+
+    return skeleton_sum(N, cap, field, _squared_ratio, singles, lp.sqrt_a,
+                        lp.sqrt_b, lp.sqrt_c)
+
+
+def _squared_ratio(x, y):
+    r = x / y
+    return r * r
 
 
 def tuple_weights(lp, kind="sinh", pure=False):
     """The weight of a tuple as a function of the tuple, for one pass over
     many tuples: ``pair_weights`` with the sinh factors (``nek_sinh``) or
     the Pochhammer factors (``nek_poch``) of the arguments x/y, formed
-    from the square roots of a, b and c.  Its three memo levels (single
-    factors, dd pair factors, slot numerators) serve this build and the
-    4d limit (``fourd.laumon_4d``) alike.  ``pure`` drops the numerator
-    (vector multiplet only)."""
+    from the square roots of a, b and c.  It is the tuple-by-tuple form of
+    ``laumon_partition_function``, kept as its oracle and for the
+    comparison of single tuples (``check_poch_sinh_relation``).  ``pure``
+    drops the numerator (vector multiplet only)."""
     N = lp.N
     nc = lp.nc
 
@@ -345,9 +585,8 @@ def pair_weights(N, field, pair, xa, xb, xc, pure=False):
     """The weight of a tuple as a function of the tuple, from the pair
     factory ``pair(x, y, k)``: it returns the color-k factor of the
     argument formed from x and y as a function of two partitions, in the
-    raw form of ``field``.  The q-deformed series (``tuple_weights``) and
-    its four-dimensional limit (``fourd.laumon_4d``) both build their
-    weights here.
+    raw form of ``field``.  With ``instanton_sum`` it is the per-tuple
+    oracle of ``skeleton_sum``.
 
     A tuple's weight is the product over slot pairs (i, j), color j - i,
     of n1 n2 / dd: n1 pairs (empty, tup[j]) at (xa[i], xb[j]), n2 pairs

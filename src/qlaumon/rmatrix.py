@@ -254,12 +254,18 @@ def b1_specialized(ivec, jvec, lam, mus, M, ctx):
                                      lam_masses, M, ctx)
 
 
+class ConnectionCheckFailed(ArithmeticError):
+    """An identity that ``connection_matrix`` checks on its way does not
+    hold: the closed inverse or a residual at an extra point."""
+
+
 def connection_matrix(N, M, lam, mus, ctx, residual_points=None):
     """R from the linear relation between the two bases, solved at the
     reference points with the closed-form inverse.  Also verifies that the
     closed inverse really inverts the directly evaluated value matrix, and
     (optionally) that the solved R reproduces the first basis at extra
-    points.  Returns (R, index_list)."""
+    points; either failure raises ConnectionCheckFailed.  Returns
+    (R, index_list)."""
     idx = compositions(N, M)
     pts = [reference_point(k, ctx) for k in idx]
     b2 = [[base_polynomial(2, i, p, lam, mus, ctx) for p in pts] for i in idx]
@@ -270,7 +276,8 @@ def connection_matrix(N, M, lam, mus, ctx, residual_points=None):
     for a, i in enumerate(idx):
         for cc, k in enumerate(idx):
             if check[a][cc] != eye[a][cc]:
-                raise ArithmeticError("closed inverse failed at %r, %r" % (i, k))
+                raise ConnectionCheckFailed("closed inverse failed at %r, %r"
+                                            % (i, k))
     b1 = [[base_polynomial(1, i, p, lam, mus, ctx) for p in pts] for i in idx]
     R = mat_mul(b1, b2p)
     if residual_points:
@@ -282,7 +289,8 @@ def connection_matrix(N, M, lam, mus, ctx, residual_points=None):
                 for b in range(len(idx)):
                     rhs = rhs + R[a][b] * b2z[b]
                 if lhs != rhs:
-                    raise ArithmeticError("residual failed at row %r" % (i,))
+                    raise ConnectionCheckFailed("residual failed at row %r"
+                                                % (i,))
     return R, idx
 
 

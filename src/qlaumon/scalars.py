@@ -18,7 +18,10 @@ the usual polynomial-identity-testing sense.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from functools import partial
+from itertools import accumulate
+from math import prod
+from operator import itemgetter, mul, sub
 
 # Mersenne prime 2^61 - 1; comfortably above 2^60 so degree-bounded
 # identity tests have negligible collision probability.
@@ -231,14 +234,21 @@ class Field:
     """Tiny context object: builds constants in one of the scalar domains,
     and converts to and from the raw form of its hot loops.
 
-    ``raw`` takes a scalar to its raw form, ``mul`` multiplies two raw
-    values and ``wrap`` turns a raw value into a scalar again:
+    ``raw`` takes a scalar to its raw form, ``mul`` and ``sub`` multiply
+    and subtract two raw values, ``prod`` multiplies an iterable of them,
+    ``inverses`` inverts a list of them at once (ZeroDivisionError if one
+    is zero), ``total`` sums an iterable of them to a scalar, and ``wrap``
+    turns a raw value into a scalar again:
 
-      * GF(p): the residue, a plain int; ``mul`` is a*b % PRIME.
-      * Q: the pair (numerator, denominator) of ints; ``mul`` multiplies
-        the two components apart and cancels nothing, so only ``wrap``
-        (one Fraction, one gcd) reduces.  A raw pair (0, d) is truthy:
-        test ``wrap(v)``, not ``v``, for zero.
+      * GF(p): the residue, a plain int; ``mul`` is a*b % PRIME, ``prod``
+        reduces once at the end, ``inverses`` is Montgomery's batch
+        inversion (one ``pow`` for the whole list) and ``total`` sums the
+        residues and reduces once.
+      * Q: the pair (numerator, denominator) of ints; ``mul``, ``sub`` and
+        ``prod`` work on the two components and cancel nothing, so only
+        ``wrap`` and ``total`` (one Fraction, one gcd, per value) reduce;
+        ``inverses`` swaps each pair.  A raw pair (0, d) is truthy: test
+        ``wrap(v)``, not ``v``, for zero.
       * jets: the scalar itself; ``mul`` is ``*``.
 
     Code written on raw values thus runs unchanged in every field.
@@ -252,11 +262,18 @@ class Field:
         self.one = self.of(1)
         if name == "prime":
             self.raw, self.mul, self.wrap = _residue_of, _mul_mod, PrimeScalar
+            self.sub, self.prod = _sub_mod, _prod_mod
+            self.inverses, self.total = _inverses_mod, _total_mod
         elif name == "rational":
             self.raw, self.mul, self.wrap = _pair_of, _mul_pairs, _fraction_of
+            self.sub, self.prod = _sub_pairs, _prod_pairs
+            self.inverses, self.total = _inverse_pairs, _total_pairs
         else:
             self.raw = self.wrap = _identity
-            self.mul = mul
+            self.mul, self.sub = mul, sub
+            self.prod = partial(prod, start=self.one)
+            self.inverses = _inverses_of
+            self.total = partial(sum, start=self.zero)
 
     def of(self, n):
         """Embed an integer (or Fraction, in rational/jet mode)."""
@@ -277,6 +294,33 @@ def _mul_mod(a, b):
     return a * b % PRIME
 
 
+def _sub_mod(a, b):
+    return (a - b) % PRIME
+
+
+def _prod_mod(values):
+    return prod(values) % PRIME
+
+
+def _inverses_mod(values):
+    """Montgomery's batch inversion: each prefix product is kept, the full
+    product is inverted once, and the inverses are peeled off backwards."""
+    prefix = list(accumulate(values, _mul_mod, initial=1))
+    inv = prefix.pop()
+    if not inv:
+        raise ZeroDivisionError("division by zero in GF(p)")
+    inv = pow(inv, -1, PRIME)
+    out = [0] * len(prefix)
+    for t in range(len(prefix) - 1, -1, -1):
+        out[t] = inv * prefix[t] % PRIME
+        inv = inv * values[t] % PRIME
+    return out
+
+
+def _total_mod(values):
+    return PrimeScalar(sum(values))
+
+
 def _pair_of(x):
     return x.numerator, x.denominator
 
@@ -285,8 +329,34 @@ def _mul_pairs(a, b):
     return a[0] * b[0], a[1] * b[1]
 
 
+def _sub_pairs(a, b):
+    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+
+
+def _prod_pairs(values):
+    n = d = 1
+    for a, b in values:
+        n *= a
+        d *= b
+    return n, d
+
+
+def _inverse_pairs(values):
+    if not all(map(itemgetter(0), values)):
+        raise ZeroDivisionError("division by zero")
+    return [(d, n) for n, d in values]
+
+
 def _fraction_of(p):
     return Fraction(p[0], p[1])
+
+
+def _total_pairs(values):
+    return sum(map(_fraction_of, values), Fraction(0))
+
+
+def _inverses_of(values):
+    return [1 / v for v in values]
 
 
 def _identity(x):

@@ -195,7 +195,7 @@ def test_criterion_10_four_dimensional_limit():
             ok = ok and lhs == rhs
     for (N, D) in ((2, 5), (3, 4)):
         through, _ = fst_check(AdditiveParams.sample(3, N), D)
-        ok = ok and through >= D - N
+        ok = ok and through == D
     report("10: first-order degeneration", t0, ok, limit=600)
 
 

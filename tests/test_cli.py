@@ -110,6 +110,30 @@ def test_rmatrix_command():
         assert len(doc["matrix"]) == 2
 
 
+def test_rmatrix_failed_identity_is_a_failed_check(monkeypatch):
+    # one wrong entry of the closed inverse: the identity B'B = 1 fails,
+    # which is a failed check (exit 1), not a degenerate input (exit 2)
+    import qlaumon.rmatrix as rm
+    entry = rm.b2_inverse_entry
+
+    def one_wrong(ivec, jvec, lam, M, ctx):
+        v = entry(ivec, jvec, lam, M, ctx)
+        return v + 1 if ivec == jvec == (2, 0) else v
+
+    monkeypatch.setattr(rm, "b2_inverse_entry", one_wrong)
+    code, out = run_cli(["rmatrix", "--n", "2", "--m-total", "2",
+                         "--emit-matrix"])
+    assert code == 1
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["status"] == "fail"
+    assert checks["closed-inverse-and-residuals"]["status"] == "fail"
+    assert "closed inverse failed" in \
+        checks["closed-inverse-and-residuals"]["detail"]["failure"]
+    assert checks["closed-form-equals-connection"]["status"] == "skipped"
+    assert "matrix" not in doc
+
+
 def test_props_suites_pass():
     for suite, mode in (("pentagon", "rational"), ("combinatorics", "rational"),
                         ("jackson", "rational"), ("jackson", "prime")):

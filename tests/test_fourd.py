@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from qlaumon.fourd import (AdditiveParams, binomial_square_identity,
-                           check_poch_4d, check_transport_identity,
-                           comb_signed, fst_check, jet_poch, k_difference,
-                           k_difference_formula, laumon_4d,
-                           poch_expansion_formula, ratio_limit_direct,
-                           ratio_limit_formula, signed_ratio_limit_check,
-                           transported_point)
-from qlaumon.nekrasov import DegenerateParameters
+from qlaumon.fourd import (AdditiveParams, annihilator_op,
+                           binomial_square_identity, check_poch_4d,
+                           check_transport_identity, comb_signed, fst_check,
+                           jet_poch, k_difference, k_difference_formula,
+                           laumon_4d, poch_expansion_formula,
+                           ratio_limit_direct, ratio_limit_formula,
+                           signed_ratio_limit_check, transported_point)
+from qlaumon.nekrasov import (DegenerateParameters, _row_product,
+                              instanton_sum, pair_weights)
 from qlaumon.partitions import (colored_counts, conjugate, enumerate_tuples,
                                 part)
-from qlaumon.scalars import Jet
+from qlaumon.scalars import RATIONAL, Jet
 
 
 def test_jet_expansion_two_hundred_instances():
@@ -136,12 +137,45 @@ def test_limit_series_rank_two_degree_one_brute_force():
         assert laumon_4d(ap, D).terms == plain_limit_series(ap, D), (N, D)
 
 
+def per_tuple_limit_series(ap, cap):
+    """The limit series as the per-tuple sum of ``nekrasov.pair_weights``
+    on the row walk, each single factor the additive exponent
+    E + a + f eps."""
+    N, eps = ap.N, ap.eps
+
+    def pair(x, y, k):
+        E, singles = x - y, {}
+
+        def single(a, f):
+            return RATIONAL.raw(E + a + f * eps)
+
+        return lambda lam, mu: _row_product(k % N, N, lam, mu, single,
+                                            singles, RATIONAL)
+
+    xa = [1 + eps + ap.betas[i - 1] - ap.m[i - 1] for i in range(N)]
+    xc = [ap.betas[j] - ap.mbar[j] for j in range(N)]
+    return instanton_sum(N, cap, pair_weights(N, RATIONAL, pair, xa,
+                                              ap.betas, xc), RATIONAL)
+
+
+def test_limit_series_matches_per_tuple_sum():
+    for N, D in ((1, 8), (2, 6), (3, 5), (4, 4)):
+        for seed in (1, 2):
+            ap = AdditiveParams.sample(seed, N)
+            assert laumon_4d(ap, D) == per_tuple_limit_series(ap, D), \
+                (N, D, seed)
+
+
 def test_vanishing_linear_form_raises_with_tuple():
     ap = AdditiveParams(1, Fraction(1), [Fraction(2)], [Fraction(1)],
                         [Fraction(3)])
     # eps integer makes a vector-multiplet form vanish at some tuple
     with pytest.raises(DegenerateParameters) as err:
         laumon_4d(ap, 6)
+    assert err.value.tup == ((2,),)
+    assert err.value.pair == (1, 1)
+    with pytest.raises(DegenerateParameters) as err:
+        per_tuple_limit_series(ap, 6)
     assert err.value.tup == ((2,),)
     assert err.value.pair == (1, 1)
 
@@ -198,11 +232,34 @@ def test_transport_identity_pointwise():
     assert lhs == rhs
 
 
+ANNIHILATION_POINTS = ((1, 5), (2, 4), (2, 6), (3, 4), (3, 5), (4, 4))
+
+
 def test_annihilation_small():
-    for (N, D) in ((1, 5), (2, 4)):
-        ap = AdditiveParams.sample(3, N)
-        through, offender = fst_check(ap, D)
-        assert through >= D - N, (N, D, offender)
+    # the residue at degree d reads psi only through degree d, so it
+    # vanishes through the full cap
+    for (N, D) in ANNIHILATION_POINTS:
+        for seed in (1, 2, 3):
+            through, offender = fst_check(AdditiveParams.sample(seed, N), D)
+            assert through == D, (N, D, seed, offender)
+
+
+def test_annihilation_fails_off_the_parameters():
+    # psi of one parameter set against the annihilator of another, mbar_1
+    # or eps moved by 1/1000: the residue is nonzero from degree 1
+    step = Fraction(1, 1000)
+    for (N, D) in ANNIHILATION_POINTS:
+        for seed in (1, 2, 3):
+            ap = AdditiveParams.sample(seed, N)
+            psi = laumon_4d(ap, D)
+            for moved in (
+                    AdditiveParams(N, ap.eps, ap.betas, ap.m,
+                                   [ap.mbar[0] + step] + ap.mbar[1:]),
+                    AdditiveParams(N, ap.eps + step, ap.betas, ap.m,
+                                   ap.mbar)):
+                res = annihilator_op(moved, D)(psi)
+                assert not res.get((0,) * N), (N, D, seed)
+                assert res.degrees().get(1), (N, D, seed)
 
 
 def test_transport_identity_constant_symbol():

@@ -1,14 +1,17 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from qlaumon.nekrasov import (DegenerateParameters, LaumonParams,
+from qlaumon import nekrasov, scalars
+from qlaumon.nekrasov import (DegenerateParameters, LaumonParams, NekContext,
                               check_inversion_symmetry,
                               check_poch_sinh_relation, gl1_closed_partition,
                               gl1_closed_solution, infprod_double_ratio,
+                              instanton_skeleton, instanton_sum,
                               laumon_partition_function, nek_bracket_count,
                               nek_context, nek_matter_anti, nek_matter_fund,
                               nek_poch, nek_poch_box, nek_sinh,
@@ -18,7 +21,7 @@ from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
                                 partitions_up_to)
 from qlaumon.qfun import bracket, single_bracket
-from qlaumon.scalars import spow
+from qlaumon.scalars import FIELDS, spow
 from qlaumon.series import MultiSeries
 
 
@@ -422,3 +425,150 @@ def test_poch_squared_is_sinh_squared_times_box_arguments():
             p = nek_poch_box(k, N, lam, mu, u, nc)
             s = nek_sinh_box(k, N, lam, mu, su, nc)
             assert p * p == s * s * args
+
+
+# -- the skeleton and its evaluation against the per-tuple oracle -----------
+
+
+def random_lp(seed, N, mode):
+    """Spectral data with every square root a random fraction of height
+    up to 10^6: at N = 6 the parameter sampler has no rational draw."""
+    rng = random.Random(("skeleton", seed, N, mode).__repr__())
+    field = FIELDS[mode]
+    roots = [field.of(Fraction(rng.randrange(2, 10 ** 6),
+                               rng.randrange(2, 10 ** 6)))
+             for _ in range(2 + 3 * N)]
+    return LaumonParams(N, NekContext(roots[0], roots[1], field),
+                        roots[2:2 + N], roots[2 + N:2 + 2 * N], roots[2 + 2 * N:])
+
+
+def oracle_partition_function(lp, cap, kind):
+    return instanton_sum(lp.N, cap, tuple_weights(lp, kind), lp.nc.field)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("kind", ["sinh", "poch"])
+@pytest.mark.parametrize("N,cap", [(1, 7), (2, 5), (3, 4), (4, 3), (5, 3),
+                                   (6, 2)])
+def test_skeleton_sum_matches_per_tuple_sum(N, cap, kind, mode):
+    lp = random_lp(1, N, mode)
+    assert laumon_partition_function(lp, cap, kind) == \
+        oracle_partition_function(lp, cap, kind)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_skeleton_reports_the_oracles_degenerate_tuple(mode):
+    # b_i / b_j chosen so that one single bracket of the dd argument (i, j)
+    # is [1] = 0: the first tuple in enumeration order whose dd product
+    # vanishes, and its first zero pair in row-major order, as the oracle
+    seen = set()
+    for N in (2, 3):
+        sk = instanton_skeleton(N, 3)
+        for i in range(N):
+            for j in range(N):
+                if i == j:
+                    continue
+                ka, kf = sk.keys_of(2 * N * N + i * N + j)
+                for t in (0, len(ka) // 2, len(ka) - 1):
+                    lp = random_lp(2, N, mode)
+                    nc = lp.nc
+                    sqrt_b = list(lp.sqrt_b)
+                    sqrt_b[i] = sqrt_b[j] / (nc.qctx.qpow_half(ka[t])
+                                             * nc.kctx.qpow_half(kf[t]))
+                    bad = LaumonParams(N, nc, lp.sqrt_a, sqrt_b, lp.sqrt_c)
+                    with pytest.raises(DegenerateParameters) as want:
+                        oracle_partition_function(bad, 3, "sinh")
+                    with pytest.raises(DegenerateParameters) as got:
+                        laumon_partition_function(bad, 3, "sinh")
+                    assert (got.value.tup, got.value.pair) == \
+                        (want.value.tup, want.value.pair), (N, i, j, t)
+                    seen.add((want.value.tup, want.value.pair))
+    assert len(seen) > 10  # the cases differ in tuple or pair
+
+
+def test_cached_skeleton_keeps_no_parameter_state():
+    # two parameter sets, both fields and both kinds alternate on one
+    # cached skeleton; each result equals a build on a fresh skeleton
+    runs = [(random_lp(s, 3, mode), kind) for s in (3, 4)
+            for mode in ("prime", "rational") for kind in ("sinh", "poch")]
+    fresh = []
+    for lp, kind in runs:
+        instanton_skeleton.cache_clear()
+        fresh.append(laumon_partition_function(lp, 4, kind))
+    instanton_skeleton.cache_clear()
+    for _ in range(2):
+        for (lp, kind), want in zip(runs, fresh):
+            assert laumon_partition_function(lp, 4, kind) == want
+    assert instanton_skeleton.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_nek_sinh_with_plan_matches_row_walk_and_box_form(mode):
+    # every factor of the skeleton at (3, 4), from its plan and single
+    # brackets evaluated one by one, against the row walk and box form
+    lp = random_lp(5, 3, mode)
+    nc, N = lp.nc, 3
+    raw, wrap = nc.field.raw, nc.field.wrap
+    sk = instanton_skeleton(N, 4)
+    xs = [(x, y) for xs_, ys in ((lp.sqrt_a, lp.sqrt_b), (lp.sqrt_b, lp.sqrt_c),
+                                 (lp.sqrt_b, lp.sqrt_b))
+          for x in xs_ for y in ys]
+    singles = []
+    for g, (x, y) in enumerate(xs):
+        ka, kf = sk.keys_of(g)
+        su = x / y
+        singles.append([raw(single_bracket(su * nc.qctx.qpow_half(a)
+                                           * nc.kctx.qpow_half(f)))
+                        for a, f in zip(ka, kf)])
+    for f, (g, l, m) in enumerate(zip(sk.fac_arg, sk.fac_lam, sk.fac_mu)):
+        x, y = xs[g]
+        k, lam, mu = (g % N - g // N) % N, sk.parts[l], sk.parts[m]
+        plan = sk.plan[sk.plan_bounds[f]:sk.plan_bounds[f + 1]]
+        got = wrap(nek_sinh(k, N, lam, mu, x / y, nc, singles[g], plan))
+        assert got == wrap(nek_sinh(k, N, lam, mu, x / y, nc))
+        assert got == nek_sinh_box(k, N, lam, mu, x / y, nc)
+
+
+@pytest.mark.parametrize("N,cap", [(2, 6), (3, 4)])
+def test_one_nek_sinh_call_per_distinct_factor(N, cap, monkeypatch):
+    # the calls are the distinct (argument, lam, mu) of the sum: role and
+    # slot pair, then the two partitions
+    calls = []
+    nek = nekrasov.nek_sinh
+
+    def counted(k, N_, lam, mu, sqrt_u, *args, **kwargs):
+        calls.append((k % N_, lam, mu))
+        return nek(k, N_, lam, mu, sqrt_u, *args, **kwargs)
+
+    monkeypatch.setattr(nekrasov, "nek_sinh", counted)
+    laumon_partition_function(random_lp(6, N, "prime"), cap, "sinh")
+    distinct = set()
+    for tup in enumerate_tuples(N, cap):
+        for i in range(N):
+            for j in range(N):
+                distinct.add(("n1", i, j, (), tup[j]))
+                distinct.add(("n2", i, j, tup[i], ()))
+                distinct.add(("dd", i, j, tup[i], tup[j]))
+    assert Counter(calls) == Counter(((j - i) % N, lam, mu)
+                                     for _, i, j, lam, mu in distinct)
+
+
+@pytest.mark.parametrize("N,cap", [(2, 8), (3, 6)])
+def test_prime_build_inverts_per_argument_not_per_tuple(N, cap, monkeypatch):
+    # every GF(p) inversion goes through pow(r, -1, PRIME) or a negative
+    # power in the scalars module
+    inversions = []
+
+    def counted_pow(base, exp, mod=None):
+        if exp < 0:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    lp = random_lp(7, N, "prime")
+    instanton_skeleton(N, cap)
+    monkeypatch.setattr(scalars, "pow", counted_pow, raising=False)
+    laumon_partition_function(lp, cap, "sinh")
+    tuples = sum(1 for _ in enumerate_tuples(N, cap))
+    # 3 N^2 argument ratios and batches, one batch over the tuples, and
+    # the negative powers of sqrt_q and sqrt_kappa the keys reach
+    assert len(inversions) <= 6 * N * N + 1 + 2 * cap < tuples // 3

@@ -222,3 +222,45 @@ def test_raw_product_chain_is_fraction_product(mode, chain):
         acc = f.mul(acc, f.raw(f.of(a)))
         want *= a
     assert f.wrap(acc) == f.of(want)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+@given(st.lists(st.tuples(fractions, fractions), max_size=12))
+@example([])
+@example([(Fraction(0), Fraction(1))])
+def test_raw_batch_operations_are_field_operations(mode, pairs):
+    # prod, sub, total and the batch inverses against the scalar ops,
+    # empty lists and zeros among the inputs
+    f = FIELDS[mode]
+    xs = [field_scalar(f, a, b) for a, b in pairs]
+    raws = [f.raw(x) for x in xs]
+    want = f.one
+    for x in xs:
+        want = want * x
+    assert f.wrap(f.prod(iter(raws))) == want
+    assert f.total(iter(raws)) == sum(xs, f.zero)
+    for x, y in zip(xs, xs[1:]):
+        assert f.wrap(f.sub(f.raw(x), f.raw(y))) == x - y
+    if all(f.wrap(r) for r in raws) and (mode != "jet" or
+                                         all(x.a for x in xs)):
+        assert [f.wrap(v) for v in f.inverses(raws)] == [1 / x for x in xs]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f.inverses(raws)
+
+
+def test_batch_inverse_mod_is_one_pow_per_batch(monkeypatch):
+    # Montgomery's batch inversion: one modular inversion for the list
+    from qlaumon import scalars
+    calls = []
+
+    def counted_pow(base, exp, mod=None):
+        calls.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(scalars, "pow", counted_pow, raising=False)
+    rng = random.Random(4)
+    values = [rng.randrange(1, PRIME) for _ in range(50)]
+    got = FIELDS["prime"].inverses(values)
+    assert calls == [-1]
+    assert got == [pow(v, -1, PRIME) for v in values]
