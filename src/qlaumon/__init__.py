@@ -4,9 +4,9 @@ forms, the instanton partition function that solves it, the finite
 connection R-matrix after mass truncation, the symmetrized cocycle
 basis, and the first-order (cohomological) degeneration.
 
-Everything is computed over exact scalar domains (rationals, a fixed
-61-bit prime field, order-2 jets); identities are verified by coefficient
-comparison, never numerically.
+Everything is computed over exact scalar domains (rationals and a fixed
+61-bit prime field, with order-2 jets for the degeneration); identities
+are verified by coefficient comparison, never numerically.
 """
 
 from .scalars import FIELDS, Jet, PRIME, PrimeScalar, RATIONAL, PRIME_FIELD

@@ -36,7 +36,7 @@ from .rmatrix import (ConnectionCheckFailed, b2_triangular_zeros,
                       gauge_match_to_hamiltonian, s_of_m,
                       support_polyhedron_vertices, support_size_formula,
                       support_to_composition, weight_shells)
-from .scalars import Jet, PRIME, PrimeScalar
+from .scalars import PRIME, PrimeScalar
 from .series import ops_agree_on_monomials
 
 SCHEMA = "qlaumon-report/1"
@@ -47,8 +47,6 @@ def scalar_str(x):
         return str(x)
     if isinstance(x, PrimeScalar):
         return "%d mod %d" % (x.r, PRIME)
-    if isinstance(x, Jet):
-        return "%s + (%s) h" % (x.a, x.b)
     return str(x)
 
 

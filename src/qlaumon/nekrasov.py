@@ -1,11 +1,12 @@
 """Orbifolded Nekrasov factors and the affine Laumon partition function.
 
-The color-k factor pairing two partitions comes in two flavours:
-
-  * sinh type, built from brackets [u;q]_n (row-indexed double product,
-    or the equivalent box-indexed product used by the Pochhammer/sinh
-    comparison machinery),
-  * Pochhammer type, the box-indexed product of (1 - ...) factors.
+The color-k factor pairing two partitions comes in two flavours, sinh
+type, built from brackets [u;q]_n, and Pochhammer type, built from
+factors 1 - x.  Each has a row-indexed form, a product over the keys
+(a, f) of ``_row_keys`` that the partition function walks, and the
+standard box-indexed form (``nek_sinh_box``, ``nek_poch_box``; Nekrasov,
+hep-th/0206161), which shares nothing with the row walk and is its
+oracle.
 
 Arguments are always handed over through their square roots where the
 sinh brackets need them.  The partition function is a sum over N-tuples
@@ -30,15 +31,15 @@ tuple denominators, and one sum per exponent.  The four-dimensional limit
 E + a + f eps as its single factor.  Values are held in the field's raw
 form (``scalars.Field``): plain residues in GF(p), and over Q
 (numerator, denominator) pairs of ints multiplied apart and never
-cancelled, so that a tuple's weight is its only gcd.  The per-tuple
-weights of ``pair_weights``, on the row walk ``_row_product`` and its
-memos, and their sum ``instanton_sum`` stay as the oracle.
+cancelled, so that a tuple's weight is its only gcd.  The oracle is the
+plain per-tuple product of the box-indexed factors (``tuple_weights``,
+``pair_weights``) summed by ``instanton_sum``.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import truediv
 
@@ -138,64 +139,25 @@ def _row_keys(k, N, lam, mu):
                 yield a, alpha - beta - 1
 
 
-def _row_product(k, N, lam, mu, single, singles, field):
-    """Product of the single factors single(a, f) of the color-k pair
-    (lam, mu) over the keys of ``_row_keys``, in the raw form of
-    ``field`` (``Field.raw``).  Each single factor is memoized in
-    ``singles`` (a dict, or None for a fresh one) on its (a, f).  This is
-    the row walk of one factor at a time; the partition function walks
-    each row once per (N, cap) (``instanton_skeleton``) and keeps this as
-    its oracle.
-    """
-    if singles is None:
-        singles = {}
-    mul = field.mul
-    out = field.raw(field.one)
-    for key in _row_keys(k, N, lam, mu):
-        v = singles.get(key)
-        if v is None:
-            v = singles[key] = single(*key)
-        out = mul(out, v)
-    return out
-
-
 def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None, plan=None):
     """Color-k sinh-type factor, row-indexed double product, in the raw
     form of the field (``Field.raw``; ``Field.wrap`` gives the scalar).
 
     Each row pair contributes a bracket [u q^{e/2} kappa^{f/2}; q]_n,
     the product over t < n of the single brackets
-    [u q^{(e+t)/2} kappa^{f/2}] (see ``_row_product``).  They are
-    memoized in ``singles`` on (e + t, f): pass one dict per argument
-    sqrt_u to share them across calls, so that each costs one inversion.
+    [u q^{(e+t)/2} kappa^{f/2}], one per key (e + t, f) of ``_row_keys``.
 
     With ``plan``, the row walk was done beforehand
     (``instanton_skeleton``): ``singles`` is then the list of the raw
     single brackets of the argument sqrt_u and ``plan`` the indices into
     it of this factor's brackets, and the factor is their product.
     """
+    field = nc.field
     if plan is not None:
-        return nc.field.prod(map(singles.__getitem__, plan))
-    qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, nc.field.raw
-
-    def single(a, f):
-        return raw(single_bracket(sqrt_u * qpow(a) * kpow(f)))
-
-    return _row_product(k % N, N, lam, mu, single, singles, nc.field)
-
-
-def nek_poch(k, N, lam, mu, u, nc, singles=None):
-    """Color-k Pochhammer-type factor, row-indexed, in the raw form of the
-    field: the factors of ``nek_sinh`` with each single bracket [x]
-    replaced by 1 - x.  ``singles`` memoizes them as in ``nek_sinh``;
-    ``nek_poch_box`` is the box-indexed form."""
-    qpow, kpow = nc.qctx.qpow_half, nc.kctx.qpow_half
-    one, raw = nc.field.one, nc.field.raw
-
-    def single(a, f):
-        return raw(one - u * qpow(2 * a) * kpow(2 * f))
-
-    return _row_product(k % N, N, lam, mu, single, singles, nc.field)
+        return field.prod(map(singles.__getitem__, plan))
+    qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, field.raw
+    return field.prod(raw(single_bracket(sqrt_u * qpow(a) * kpow(f)))
+                      for a, f in _row_keys(k % N, N, lam, mu))
 
 
 def _boxes_with_colors(lam):
@@ -207,7 +169,8 @@ def _boxes_with_colors(lam):
 
 
 def nek_sinh_box(k, N, lam, mu, sqrt_u, nc):
-    """Box-indexed form of the sinh-type factor (same value as nek_sinh)."""
+    """Box-indexed form of the sinh-type factor, a scalar (the value of
+    ``nek_sinh``)."""
     k = k % N
     out = nc.field.one
     for i, j, cj in _boxes_with_colors(mu):
@@ -521,8 +484,9 @@ def laumon_partition_function(lp, cap, kind="sinh"):
     Constant term is one; a vanishing vector-multiplet denominator raises
     DegenerateParameters.
 
-    It is ``skeleton_sum`` with the factors of ``tuple_weights``: the
-    sinh single brackets [x] = 1/x - x of x = sqrt_u q^{a/2} kappa^{f/2},
+    It is ``skeleton_sum`` on the arguments of ``tuple_weights``, with the
+    row-form factors in place of its box-form ones: the sinh single
+    brackets [x] = 1/x - x of x = sqrt_u q^{a/2} kappa^{f/2},
     all x of an argument inverted at once, each factor made by
     ``nek_sinh`` from its plan; or the Pochhammer single factors
     1 - u q^a kappa^f."""
@@ -555,27 +519,20 @@ def _squared_ratio(x, y):
 
 
 def tuple_weights(lp, kind="sinh", pure=False):
-    """The weight of a tuple as a function of the tuple, for one pass over
-    many tuples: ``pair_weights`` with the sinh factors (``nek_sinh``) or
-    the Pochhammer factors (``nek_poch``) of the arguments x/y, formed
-    from the square roots of a, b and c.  It is the tuple-by-tuple form of
-    ``laumon_partition_function``, kept as its oracle and for the
+    """The weight of a tuple as a function of the tuple: ``pair_weights``
+    with the box-indexed sinh factors (``nek_sinh_box``) or Pochhammer
+    factors (``nek_poch_box``) of the arguments x/y, formed from the
+    square roots of a, b and c.  It shares no row walk with
+    ``laumon_partition_function`` and is its oracle, and it serves the
     comparison of single tuples (``check_poch_sinh_relation``).  ``pure``
     drops the numerator (vector multiplet only)."""
-    N = lp.N
-    nc = lp.nc
+    N, nc = lp.N, lp.nc
+    box, argument = ((nek_sinh_box, truediv) if kind == "sinh"
+                     else (nek_poch_box, _squared_ratio))
 
-    if kind == "sinh":
-        def pair(x, y, k):
-            sqrt_u, singles = x / y, {}
-            return lambda lam, mu: nek_sinh(k, N, lam, mu, sqrt_u, nc,
-                                            singles=singles)
-    else:
-        def pair(x, y, k):
-            r, singles = x / y, {}
-            u = r * r
-            return lambda lam, mu: nek_poch(k, N, lam, mu, u, nc,
-                                            singles=singles)
+    def pair(x, y, k):
+        u = argument(x, y)
+        return lambda lam, mu: box(k, N, lam, mu, u, nc)
 
     return pair_weights(N, nc.field, pair, lp.sqrt_a, lp.sqrt_b, lp.sqrt_c,
                         pure)
@@ -584,64 +541,35 @@ def tuple_weights(lp, kind="sinh", pure=False):
 def pair_weights(N, field, pair, xa, xb, xc, pure=False):
     """The weight of a tuple as a function of the tuple, from the pair
     factory ``pair(x, y, k)``: it returns the color-k factor of the
-    argument formed from x and y as a function of two partitions, in the
-    raw form of ``field``.  With ``instanton_sum`` it is the per-tuple
+    argument formed from x and y as a function of two partitions, a
+    scalar of ``field``.  With ``instanton_sum`` it is the per-tuple
     oracle of ``skeleton_sum``.
 
     A tuple's weight is the product over slot pairs (i, j), color j - i,
     of n1 n2 / dd: n1 pairs (empty, tup[j]) at (xa[i], xb[j]), n2 pairs
     (tup[i], empty) at (xb[i], xc[j]) and dd, the vector multiplet, pairs
-    (tup[i], tup[j]) at (xb[i], xb[j]).  The 3 N^2 pair factors are made
-    once, and three memos live as long as the returned function:
+    (tup[i], tup[j]) at (xb[i], xb[j]).  Every factor is evaluated afresh
+    for each tuple.  A vanishing numerator gives the weight zero; a
+    vanishing dd factor raises DegenerateParameters with the first zero
+    pair in row-major order.  ``pure`` drops the numerator (vector
+    multiplet only)."""
+    def factors(xs, ys):
+        return [[pair(xs[i], ys[j], j - i) for j in range(N)]
+                for i in range(N)]
 
-      * single factors: each factor made by ``pair`` keeps its own memo
-        of the single factors its rows multiply (``_row_product``'s
-        ``singles``), so each costs one evaluation per build;
-      * pair factors: each dd factor is memoized on its two partitions;
-      * slot numerators: the n1 factors with tup[p] = lam (all i) and the
-        n2 factors with tup[p] = lam (all j) depend on slot p alone, so
-        their product is memoized on (p, lam).
-
-    The memos and the products hold the field's raw form (``Field.raw``),
-    multiplied with ``Field.mul``: residues in GF(p), unreduced
-    (numerator, denominator) pairs over Q.  Only the weight returned is a
-    scalar: a tuple costs N slot numerators, N^2 dd factors and one
-    ``wrap(num) / wrap(den)``, over Q its only gcd.  A vanishing numerator
-    gives the weight zero.  A vanishing dd product raises
-    DegenerateParameters with the first zero pair in row-major order; zero
-    is tested on the wrapped value, since a raw pair (0, d) is truthy.
-    ``pure`` drops the numerator (vector multiplet only)."""
-    mul, wrap = field.mul, field.wrap
-    one = field.raw(field.one)
-
-    n1 = [[pair(xa[i], xb[j], j - i) for j in range(N)] for i in range(N)]
-    n2 = [[pair(xb[i], xc[j], j - i) for j in range(N)] for i in range(N)]
-    dd = [(i, j, cache(pair(xb[i], xb[j], j - i)))
-          for i in range(N) for j in range(N)]
-
-    @cache
-    def slot_numerator(p, lam):
-        v = one
-        for i in range(N):
-            v = mul(v, n1[i][p]((), lam))
-        for j in range(N):
-            v = mul(v, n2[p][j](lam, ()))
-        return v
+    n1, n2, dd = factors(xa, xb), factors(xb, xc), factors(xb, xb)
 
     def weight(tup):
-        den = one
-        for i, j, factor in dd:
-            den = mul(den, factor(tup[i], tup[j]))
-        den = wrap(den)
-        if not den:
-            for i, j, factor in dd:
-                if not wrap(factor(tup[i], tup[j])):
+        den = num = field.one
+        for i in range(N):
+            for j in range(N):
+                v = dd[i][j](tup[i], tup[j])
+                if not v:
                     raise DegenerateParameters(tup, (i + 1, j + 1))
-        num = one
-        if not pure:
-            for p, lam in enumerate(tup):
-                num = mul(num, slot_numerator(p, lam))
-        return wrap(num) / den
+                den = den * v
+                if not pure:
+                    num = num * n1[i][j]((), tup[j]) * n2[i][j](tup[i], ())
+        return num / den
 
     return weight
 

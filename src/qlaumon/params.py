@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import FIELDS, Jet, PRIME, PrimeScalar, spow
+from .scalars import FIELDS, PRIME, PrimeScalar, spow
 
 # Exponent window for the lattice-avoidance checks; generous for every
 # degree cap used at desk scale (caps <= 8, index offsets <= N+cap).
@@ -54,11 +54,6 @@ class ParamSet:
     def kappa(self):
         return self.sqrt_kappa * self.sqrt_kappa
 
-    @property
-    def t(self):
-        """t = kappa^(-N)."""
-        return spow(self.kappa, -self.N)
-
     def b(self, i):
         s = self.sqrt_b[i % self.N]
         return s * s
@@ -77,10 +72,6 @@ class ParamSet:
         for k in range(self.N):
             out = out * self.d(k) * self.dbar(k)
         return out
-
-    def sqrt_mass(self, i):
-        """sqrt(d_i * dbar_i)."""
-        return self.sqrt_d[i % self.N] * self.sqrt_dbar[i % self.N]
 
     def with_dbar(self, new_dbar_sqrt):
         """Copy with the dbar family replaced (used by mass truncation)."""
@@ -106,15 +97,13 @@ def _draw_sqrt(rng, field):
         fr = Fraction(num, den)
         if fr != 0 and abs(fr) != 1:
             break
-    if field.name == "jet":
-        return Jet(fr, Fraction(rng.randrange(-5, 6), rng.randrange(1, 6)))
     return fr
 
 
 def sample_params(seed, N, mode="rational"):
     """Deterministic generic ParamSet for the given (seed, N, mode).
 
-    mode is "rational", "prime" or "jet".  Rejection sampling enforces:
+    mode is "rational" or "prime".  Rejection sampling enforces:
     all base parameters pairwise distinct and outside {0, +-1}; no
     relation q^a kappa^c = 1 on a bounded window (so q is not a root of
     unity there); ratios of the b_i off the bounded q-kappa lattice (see

@@ -29,10 +29,6 @@ def conjugate(parts):
     return tuple(out)
 
 
-def size(parts):
-    return sum(parts)
-
-
 def row_sum_residue(parts, beta, N):
     """Sum of the rows of the partition whose index is beta mod N."""
     b = beta % N

@@ -32,10 +32,15 @@ class QContext:
         return self._qq[n]
 
     def qpow_half(self, twice_exponent):
-        """q**(twice_exponent/2) as an integer power of sqrt_q."""
+        """q**(twice_exponent/2) as an integer power of sqrt_q; a negative
+        power is a power of 1/sqrt_q, which is taken once."""
         v = self._half.get(twice_exponent)
         if v is None:
-            v = self._half[twice_exponent] = spow(self.sqrt_q, twice_exponent)
+            if twice_exponent < -1:
+                v = self.qpow_half(-1) ** -twice_exponent
+            else:
+                v = spow(self.sqrt_q, twice_exponent)
+            self._half[twice_exponent] = v
         return v
 
 

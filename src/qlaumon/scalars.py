@@ -1,12 +1,14 @@
 """Exact coefficient domains.
 
-Three interchangeable scalar types are used throughout:
+Three interchangeable scalar types are used:
 
   * ``fractions.Fraction``  -- arbitrary-precision rationals,
   * ``PrimeScalar``         -- residues mod a fixed 61-bit prime,
   * ``Jet``                 -- order-2 jets a + b*h with h^2 = 0.
 
-All three support +, -, *, /, ** with integer exponents, exact equality
+The first two are the fields of the checks (``Field``, ``FIELDS``); jets
+serve the first-order expansions of the four-dimensional limit.  All
+three support +, -, *, /, ** with integer exponents, exact equality
 and truthiness (falsy iff zero), so series and operator code never needs
 to know which domain it is running in.  Integer operands are coerced.
 
@@ -18,10 +20,9 @@ the usual polynomial-identity-testing sense.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from math import prod
-from operator import itemgetter, mul, sub
+from operator import itemgetter
 
 # Mersenne prime 2^61 - 1; comfortably above 2^60 so degree-bounded
 # identity tests have negligible collision probability.
@@ -213,7 +214,7 @@ class Jet:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash(("jet", self.a, self.b))
+        return hash((Jet, self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -231,8 +232,8 @@ def _as_jet(x):
 
 
 class Field:
-    """Tiny context object: builds constants in one of the scalar domains,
-    and converts to and from the raw form of its hot loops.
+    """Tiny context object: builds constants in one of the two fields, Q
+    and GF(p), and converts to and from the raw form of its hot loops.
 
     ``raw`` takes a scalar to its raw form, ``mul`` and ``sub`` multiply
     and subtract two raw values, ``prod`` multiplies an iterable of them,
@@ -249,13 +250,12 @@ class Field:
         ``wrap`` and ``total`` (one Fraction, one gcd, per value) reduce;
         ``inverses`` swaps each pair.  A raw pair (0, d) is truthy: test
         ``wrap(v)``, not ``v``, for zero.
-      * jets: the scalar itself; ``mul`` is ``*``.
 
     Code written on raw values thus runs unchanged in every field.
     """
 
     def __init__(self, name):
-        if name not in ("rational", "prime", "jet"):
+        if name not in ("rational", "prime"):
             raise ValueError("unknown field mode %r" % name)
         self.name = name
         self.zero = self.of(0)
@@ -264,26 +264,18 @@ class Field:
             self.raw, self.mul, self.wrap = _residue_of, _mul_mod, PrimeScalar
             self.sub, self.prod = _sub_mod, _prod_mod
             self.inverses, self.total = _inverses_mod, _total_mod
-        elif name == "rational":
+        else:
             self.raw, self.mul, self.wrap = _pair_of, _mul_pairs, _fraction_of
             self.sub, self.prod = _sub_pairs, _prod_pairs
             self.inverses, self.total = _inverse_pairs, _total_pairs
-        else:
-            self.raw = self.wrap = _identity
-            self.mul, self.sub = mul, sub
-            self.prod = partial(prod, start=self.one)
-            self.inverses = _inverses_of
-            self.total = partial(sum, start=self.zero)
 
     def of(self, n):
-        """Embed an integer (or Fraction, in rational/jet mode)."""
+        """Embed an integer or a Fraction."""
         if self.name == "rational":
             return Fraction(n)
-        if self.name == "prime":
-            if isinstance(n, Fraction):
-                return PrimeScalar(n.numerator) / PrimeScalar(n.denominator)
-            return PrimeScalar(n)
-        return Jet(n)
+        if isinstance(n, Fraction):
+            return PrimeScalar(n.numerator) / PrimeScalar(n.denominator)
+        return PrimeScalar(n)
 
 
 def _residue_of(x):
@@ -355,19 +347,10 @@ def _total_pairs(values):
     return sum(map(_fraction_of, values), Fraction(0))
 
 
-def _inverses_of(values):
-    return [1 / v for v in values]
-
-
-def _identity(x):
-    return x
-
-
 RATIONAL = Field("rational")
 PRIME_FIELD = Field("prime")
-JET_FIELD = Field("jet")
 
-FIELDS = {"rational": RATIONAL, "prime": PRIME_FIELD, "jet": JET_FIELD}
+FIELDS = {"rational": RATIONAL, "prime": PRIME_FIELD}
 
 
 def spow(x, e):

@@ -11,8 +11,7 @@ from qlaumon.fourd import (AdditiveParams, annihilator_op,
                            laumon_4d, poch_expansion_formula,
                            ratio_limit_direct, ratio_limit_formula,
                            signed_ratio_limit_check, transported_point)
-from qlaumon.nekrasov import (DegenerateParameters, _row_product,
-                              instanton_sum, pair_weights)
+from qlaumon.nekrasov import DegenerateParameters, instanton_sum, pair_weights
 from qlaumon.partitions import (colored_counts, conjugate, enumerate_tuples,
                                 part)
 from qlaumon.scalars import RATIONAL, Jet
@@ -139,18 +138,11 @@ def test_limit_series_rank_two_degree_one_brute_force():
 
 def per_tuple_limit_series(ap, cap):
     """The limit series as the per-tuple sum of ``nekrasov.pair_weights``
-    on the row walk, each single factor the additive exponent
-    E + a + f eps."""
+    on the box-form additive factors, which walk no rows."""
     N, eps = ap.N, ap.eps
 
     def pair(x, y, k):
-        E, singles = x - y, {}
-
-        def single(a, f):
-            return RATIONAL.raw(E + a + f * eps)
-
-        return lambda lam, mu: _row_product(k % N, N, lam, mu, single,
-                                            singles, RATIONAL)
+        return lambda lam, mu: additive_box_factor(k, N, lam, mu, x - y, eps)
 
     xa = [1 + eps + ap.betas[i - 1] - ap.m[i - 1] for i in range(N)]
     xc = [ap.betas[j] - ap.mbar[j] for j in range(N)]

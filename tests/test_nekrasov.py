@@ -14,9 +14,9 @@ from qlaumon.nekrasov import (DegenerateParameters, LaumonParams, NekContext,
                               instanton_skeleton, instanton_sum,
                               laumon_partition_function, nek_bracket_count,
                               nek_context, nek_matter_anti, nek_matter_fund,
-                              nek_poch, nek_poch_box, nek_sinh,
-                              nek_sinh_box, solution_series,
-                              solution_spectral_params, tuple_weights)
+                              nek_poch_box, nek_sinh, nek_sinh_box,
+                              solution_series, solution_spectral_params,
+                              tuple_weights)
 from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
                                 partitions_up_to)
@@ -92,37 +92,18 @@ def row_form_with_brackets(k, N, lam, mu, sqrt_u, nc):
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
-def test_single_bracket_memo_matches_brackets_and_box_form(mode):
-    # one memo serves every pair, color and rank, so a memo key that
-    # dropped an exponent would hand back a wrong single bracket
+def test_single_bracket_matches_brackets_and_box_form(mode):
+    # the row walk's single brackets against one q-bracket per row pair
+    # and against the box form, over every pair, color and rank
     lp, ps = generic_lp(5, 3, mode)
     su = lp.sqrt_a[0] / lp.sqrt_b[1]
-    singles = {}
     for N in (1, 2, 3):
         for k in range(N):
             for lam in SMALL:
                 for mu in SMALL:
-                    got = ps.field.wrap(nek_sinh(k, N, lam, mu, su, lp.nc,
-                                                 singles=singles))
+                    got = ps.field.wrap(nek_sinh(k, N, lam, mu, su, lp.nc))
                     assert got == row_form_with_brackets(k, N, lam, mu, su, lp.nc)
                     assert got == nek_sinh_box(k, N, lam, mu, su, lp.nc)
-
-
-@pytest.mark.parametrize("mode", ["rational", "prime"])
-def test_poch_memo_matches_box_form(mode):
-    # the memoized row form of the Pochhammer factor against the box form,
-    # one memo across pairs, colors and ranks as in tuple_weights
-    lp, ps = generic_lp(5, 3, mode)
-    r = lp.sqrt_b[0] / lp.sqrt_c[2]
-    u = r * r
-    singles = {}
-    for N in (1, 2, 3):
-        for k in range(N):
-            for lam in SMALL:
-                for mu in SMALL:
-                    got = nek_poch(k, N, lam, mu, u, lp.nc, singles=singles)
-                    assert ps.field.wrap(got) == nek_poch_box(k, N, lam, mu,
-                                                              u, lp.nc)
 
 
 def test_exchange_symmetry_squared():
@@ -486,6 +467,32 @@ def test_skeleton_reports_the_oracles_degenerate_tuple(mode):
     assert len(seen) > 10  # the cases differ in tuple or pair
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("kind", ["sinh", "poch"])
+@pytest.mark.parametrize("N,cap", [(2, 4), (3, 3)])
+def test_oracle_catches_a_wrong_row_walk(N, cap, kind, mode, monkeypatch):
+    # negative control: the kappa exponent of one key of one factor moves,
+    # the vector multiplet of ((1,), (1,)) at color 0, so Z is wrong; the
+    # box-form oracle walks no rows and must see it
+    row_keys = nekrasov._row_keys
+
+    def shifted(k, N_, lam, mu):
+        keys = list(row_keys(k, N_, lam, mu))
+        if (k, lam, mu) == (0, (1,), (1,)):
+            a, f = keys[0]
+            keys[0] = a, f + 1
+        return iter(keys)
+
+    lp = random_lp(8, N, mode)
+    instanton_skeleton.cache_clear()
+    monkeypatch.setattr(nekrasov, "_row_keys", shifted)
+    try:
+        assert laumon_partition_function(lp, cap, kind) != \
+            oracle_partition_function(lp, cap, kind)
+    finally:
+        instanton_skeleton.cache_clear()
+
+
 def test_cached_skeleton_keeps_no_parameter_state():
     # two parameter sets, both fields and both kinds alternate on one
     # cached skeleton; each result equals a build on a fresh skeleton
@@ -570,5 +577,5 @@ def test_prime_build_inverts_per_argument_not_per_tuple(N, cap, monkeypatch):
     laumon_partition_function(lp, cap, "sinh")
     tuples = sum(1 for _ in enumerate_tuples(N, cap))
     # 3 N^2 argument ratios and batches, one batch over the tuples, and
-    # the negative powers of sqrt_q and sqrt_kappa the keys reach
-    assert len(inversions) <= 6 * N * N + 1 + 2 * cap < tuples // 3
+    # the inverses of sqrt_q and sqrt_kappa, each taken once
+    assert len(inversions) <= 6 * N * N + 3 < tuples // 3

@@ -119,16 +119,6 @@ def test_square_root_accessors_square_correctly():
         assert ps.sqrt_kappa ** 2 == ps.kappa
         for i in range(3):
             assert ps.sqrt_b[i] ** 2 == ps.b(i)
-            assert ps.sqrt_mass(i) ** 2 == ps.d(i) * ps.dbar(i)
-        total = ps.field.one
-        for i in range(3):
-            total = total * ps.sqrt_mass(i)
-        assert total * total == ps.mass_product()
-
-
-def test_t_accessor_is_inverse_kappa_power():
-    ps = sample_params(4, 3)
-    assert ps.t * spow(ps.kappa, 3) == ps.field.one
 
 
 def test_prime_mode_elements_live_in_prime_field():
@@ -176,7 +166,7 @@ def test_prime_constructor_reduces_into_range(n):
     assert PrimeScalar(n).r == n % PRIME
 
 
-@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+@pytest.mark.parametrize("mode", ["rational", "prime"])
 def test_field_raw_form_round_trips(mode):
     # raw values multiply to the raw form of the scalar product
     f = FIELDS[mode]
@@ -195,23 +185,18 @@ fractions = st.builds(Fraction, st.integers(-2 ** 128, 2 ** 128),
                       st.integers(1, 2 ** 128).filter(lambda d: d % PRIME))
 
 
-def field_scalar(f, a, b):
-    """a in the field f; over jets a + b*h, so the h-part is covered too."""
-    return Jet(a, b) if f.name == "jet" else f.of(a)
-
-
-@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
-@given(fractions, fractions, fractions, fractions)
-@example(Fraction(0), Fraction(0), Fraction(-3, 7), Fraction(5))
-@example(Fraction(-2 ** 128, 3), Fraction(1), Fraction(0), Fraction(-1))
-def test_raw_product_is_field_product(mode, a, b, c, d):
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@given(fractions, fractions)
+@example(Fraction(0), Fraction(-3, 7))
+@example(Fraction(-2 ** 128, 3), Fraction(0))
+def test_raw_product_is_field_product(mode, a, b):
     f = FIELDS[mode]
-    x, y = field_scalar(f, a, b), field_scalar(f, c, d)
+    x, y = f.of(a), f.of(b)
     assert f.wrap(f.raw(x)) == x
     assert f.wrap(f.mul(f.raw(x), f.raw(y))) == x * y
 
 
-@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
+@pytest.mark.parametrize("mode", ["rational", "prime"])
 @given(st.lists(fractions, min_size=25, max_size=35))
 def test_raw_product_chain_is_fraction_product(mode, chain):
     # a chain as long as the row walk of a large factor, never reduced
@@ -224,15 +209,15 @@ def test_raw_product_chain_is_fraction_product(mode, chain):
     assert f.wrap(acc) == f.of(want)
 
 
-@pytest.mark.parametrize("mode", ["rational", "prime", "jet"])
-@given(st.lists(st.tuples(fractions, fractions), max_size=12))
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@given(st.lists(fractions, max_size=12))
 @example([])
-@example([(Fraction(0), Fraction(1))])
-def test_raw_batch_operations_are_field_operations(mode, pairs):
+@example([Fraction(0)])
+def test_raw_batch_operations_are_field_operations(mode, values):
     # prod, sub, total and the batch inverses against the scalar ops,
     # empty lists and zeros among the inputs
     f = FIELDS[mode]
-    xs = [field_scalar(f, a, b) for a, b in pairs]
+    xs = [f.of(a) for a in values]
     raws = [f.raw(x) for x in xs]
     want = f.one
     for x in xs:
@@ -241,8 +226,7 @@ def test_raw_batch_operations_are_field_operations(mode, pairs):
     assert f.total(iter(raws)) == sum(xs, f.zero)
     for x, y in zip(xs, xs[1:]):
         assert f.wrap(f.sub(f.raw(x), f.raw(y))) == x - y
-    if all(f.wrap(r) for r in raws) and (mode != "jet" or
-                                         all(x.a for x in xs)):
+    if all(f.wrap(r) for r in raws):
         assert [f.wrap(v) for v in f.inverses(raws)] == [1 / x for x in xs]
     else:
         with pytest.raises(ZeroDivisionError):
