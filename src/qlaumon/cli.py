@@ -18,25 +18,27 @@ import sys
 import time
 from fractions import Fraction
 
-from .fourd import (AdditiveParams, check_poch_4d, fst_check, k_difference,
-                    k_difference_formula)
+from .fourd import (AdditiveParams, check_poch_4d, check_transport_identity,
+                    fst_check, k_difference, k_difference_formula)
 from .hamiltonian import (DEFAULT_FORM, FORMS, check_borel_moved_triple,
                           check_dynkin_family, check_form_equivalence,
-                          check_pentagon, HamiltonianSpec, hamiltonian_op,
-                          verify_conjecture)
-from .jackson import CocycleSpec, cocycle_rank, expected_rank
+                          check_mass_truncated_equation, check_pentagon,
+                          cyclic_matrix_factorization_check, HamiltonianSpec,
+                          hamiltonian_op, verify_conjecture)
+from .jackson import (CocycleSpec, check_vandermonde_division, cocycle_rank,
+                      expected_rank)
 from .nekrasov import (LaumonParams, check_inversion_symmetry,
                        check_poch_sinh_relation, gl1_closed_partition,
                        laumon_partition_function, nek_context)
 from .params import sample_params, rand_square
 from .qfun import QContext
 from .rmatrix import (ConnectionCheckFailed, b2_triangular_zeros,
-                      closed_matrix, composition_to_support, compositions,
-                      connection_matrix, draw_mass_data,
-                      gauge_match_to_hamiltonian, s_of_m,
+                      check_transition, closed_matrix, composition_to_support,
+                      compositions, connection_matrix, draw_kernel_args,
+                      draw_mass_data, gauge_match_to_hamiltonian, s_of_m,
                       support_polyhedron_vertices, support_size_formula,
                       support_to_composition, weight_shells)
-from .scalars import PRIME, PrimeScalar
+from .scalars import FIELDS, PRIME, PrimeScalar
 from .series import ops_agree_on_monomials
 
 SCHEMA = "qlaumon-report/1"
@@ -206,6 +208,17 @@ def cmd_rmatrix(args):
     if args.emit_matrix and rc is not None:
         rep.payload["indices"] = [list(i) for i in idx]
         rep.payload["matrix"] = [[scalar_str(v) for v in row] for row in rc]
+    # the composition law of the kernel Phi_q on n <= 2 components; its
+    # cost grows fast with n, and n = N - 1 would take seconds at N = 5
+    if N == 1:
+        rep.add("kernel-transition", True, skipped=True)
+    else:
+        n = min(N - 1, 2)
+        krng = random.Random(("kernel-transition", args.seed, N, M).__repr__())
+        a, b, c = draw_kernel_args(krng, ps.field, ctx, n, 2)
+        bad = check_transition(n, 2, ctx, a, b, c)
+        rep.add("kernel-transition", not bad,
+                {"failures": repr(bad)} if bad else None)
     return rep
 
 
@@ -228,6 +241,13 @@ def _suite_dynkin(rep, args):
     bad = check_borel_moved_triple(3, 2, args.seed, args.mode)
     rep.add("moved-borel-triple-n3-deg2", not bad,
             {"failures": repr(bad)} if bad else None)
+    field = FIELDS[args.mode]
+    for n in (3, 4):
+        rng = random.Random(("cyclic-matrix", args.seed, n).__repr__())
+        xs = [rand_square(rng, field)[0] for _ in range(n)]
+        z = rand_square(rng, field)[0]
+        rep.add("cyclic-matrix-factorization-n%d" % n,
+                cyclic_matrix_factorization_check(xs, z, field))
 
 
 def _suite_appendix_a(rep, args):
@@ -259,6 +279,8 @@ def _suite_combinatorics(rep, args):
     except ValueError:
         raise UsageError("--m needs comma-separated integers, got %r"
                          % args.m)
+    if min(mvec) < 0:
+        raise UsageError("--m needs nonnegative integers, got %r" % args.m)
     ok = True
     for N in range(1, 5):
         for M in range(0, 5):
@@ -275,6 +297,15 @@ def _suite_combinatorics(rep, args):
         "m": list(mvec),
         "vertices": [list(v) for v in support_polyhedron_vertices(mvec)],
     }
+    try:
+        support, equation, _ = check_mass_truncated_equation(
+            len(mvec), mvec, 3, args.seed, args.mode)
+    except RuntimeError as exc:  # no parameters at this rank in this field
+        rep.add("terminated-equation", False, {"reason": str(exc)},
+                skipped=True)
+    else:
+        rep.add("terminated-equation", support and equation,
+                {"support": support, "equation": equation})
 
 
 def _suite_4d(rep, args):
@@ -295,10 +326,25 @@ def _suite_4d(rep, args):
     through, bad = fst_check(ap, 4)
     rep.add("annihilation-n2-deg4", through == 4,
             {"vanishes_through": through})
+    through, _ = fst_check(AdditiveParams.sample(args.seed, 3), 4)
+    rep.add("annihilation-n3-deg4", through == 4,
+            {"vanishes_through": through})
+    rng = random.Random(("cli4d-transport", args.seed).__repr__())
+    bad = []
+    for N in (2, 3):
+        for _ in range(10):
+            nu = tuple(rng.randrange(0, 4) for _ in range(N))
+            pt = [Fraction(rng.randrange(2, 9), rng.randrange(9, 14))
+                  for _ in range(N)]
+            lhs, rhs = check_transport_identity(nu, pt)
+            if lhs != rhs:
+                bad.append({"nu": list(nu), "point": [str(x) for x in pt]})
+    rep.add("transport-identity", not bad, {"failures": bad} if bad else None)
 
 
 def _suite_jackson(rep, args):
     rng = random.Random(("clijack", args.seed).__repr__())
+    first_points = []
     for (N, M) in ((2, 1), (2, 2), (3, 2)):
         ps = sample_params(args.seed + N + M, N, args.mode)
         spec = CocycleSpec.from_params(ps, tuple([M] + [0] * (N - 1)))
@@ -311,6 +357,11 @@ def _suite_jackson(rep, args):
         r, fam = cocycle_rank(spec, cfgs)
         rep.add("cocycle-rank-%d-%d" % (N, M), r == expected_rank(N, M),
                 {"rank": r, "family": fam, "expected": expected_rank(N, M)})
+        first_points.append((spec, cfgs[0]))
+    for spec, zs in first_points:
+        bad = check_vandermonde_division(spec, zs)
+        rep.add("vandermonde-division-%d-%d" % (spec.N, spec.M), not bad,
+                {"failures": repr(bad)} if bad else None)
 
 
 SUITES = {

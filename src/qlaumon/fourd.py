@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import sub
 
 from .nekrasov import skeleton_sum
@@ -61,83 +61,6 @@ def poch_expansion_formula(a, b, x):
 def check_poch_4d(a, b, x):
     """Jet product equals the first-order formula."""
     return jet_poch(a, b, x) == poch_expansion_formula(a, b, x)
-
-
-def ratio_limit_formula(alpha, order):
-    """Coefficients of (q^alpha x; q)_inf / (x; q)_inf as jets through
-    x^order: term k is C(alpha+k-1, k)(1 + h k (alpha - 1)/2), matching
-    (1-x)^{-alpha} (1 + (h/2) alpha (alpha-1) x/(1-x)) term by term."""
-    out = []
-    for k in range(order + 1):
-        c = comb_signed(alpha + k - 1, k)
-        out.append(Jet(c, Fraction(c * k * (alpha - 1), 2)))
-    return out
-
-
-def ratio_limit_direct(alpha, order):
-    """The same coefficients from sum_k (q^alpha;q)_k/(q;q)_k x^k with
-    jet arithmetic (alpha a nonnegative integer).  Every factor 1 - q^c
-    is divisible by h, so each is carried as (1 - q^c)/(-h) = c + C(c,2) h
-    before dividing (the h powers of numerator and denominator match)."""
-    def reduced(c):
-        return Jet(c, comb(c, 2))
-
-    out = []
-    for k in range(order + 1):
-        if alpha == 0:
-            out.append(Jet(1) if k == 0 else Jet(0))
-            continue
-        val = Jet(1)
-        for l in range(k):
-            val = val * reduced(alpha + l) / reduced(1 + l)
-        out.append(val)
-    return out
-
-
-def signed_ratio_limit_check(alpha, beta, order):
-    """(-q^alpha x;q)_inf / (-q^beta x;q)_inf = (1+x)^{beta-alpha} {1 -
-    (h/2)(alpha-beta)(alpha+beta-1) x/(1+x)}, checked coefficientwise
-    through x^order for integers alpha >= beta >= 0.  (The h-term sign and
-    the 1+x denominator follow from the b = 1 case of the plain ratio.)"""
-    # direct: product form of the ratio = (q^beta (-x); q)_{alpha-beta}^{-1}
-    # only when alpha >= beta; expand 1/(y;q)_n as a series in x
-    n = alpha - beta
-    direct = [Jet(1)] + [Jet(0)] * order
-    # 1/prod_{l<n}(1 + q^{beta+l} x): multiply the inverse factors
-    for l in range(n):
-        geom = [(-Jet(1) * JET_Q ** (beta + l)) ** k for k in range(order + 1)]
-        new = [Jet(0)] * (order + 1)
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                new[i + j] = new[i + j] + direct[i] * geom[j]
-        direct = new
-    formula = []
-    for k in range(order + 1):
-        formula.append(Jet(comb_signed(beta - alpha, k)))
-    # first-order part: -(h/2)(alpha-beta)(alpha+beta-1) x/(1+x)
-    pref = -Fraction((alpha - beta) * (alpha + beta - 1), 2)
-    for k in range(1, order + 1):
-        corr = Fraction(0)
-        for j in range(1, k + 1):
-            corr += comb_signed(beta - alpha, k - j) * (-1) ** (j - 1)
-        formula[k] = formula[k] + Jet(0, pref * corr)
-    return direct == formula
-
-
-def comb_signed(n, k):
-    """Binomial coefficient C(n, k) for any integer n, k >= 0."""
-    if k < 0:
-        return 0
-    num = 1
-    for j in range(k):
-        num *= (n - j)
-    return Fraction(num, factorial(k))
-
-
-def binomial_square_identity(a):
-    """C(a,2) + C(-a,2) = a^2 for integer a (used when combining the two
-    first-order corrections)."""
-    return comb_signed(a, 2) + comb_signed(-a, 2) == a * a
 
 
 # -- additive (cohomological) parameters --------------------------------------
@@ -286,32 +209,19 @@ def transported_point(point):
             for a in range(N)]
 
 
-def check_transport_identity(F_terms, nu, point):
-    """Both evaluations of the transport identity at a rational point:
+def check_transport_identity(nu, point):
+    """Both sides of the transport identity at a rational point x,
 
-      substitute the composite map into  prod (1-x_a)^{-nu'_a} F(x, nu) x^nu
-      versus  F(transported x, nu) * x^nu  at the original point.
+        prod_a (1 - xt_a)^{-nu'_a} xt_a^{nu_a}   and   prod_a x_a^{nu_a},
 
-    F_terms is a list of (exponent vector, coefficient fn of nu)."""
-    N = len(point)
+    with xt = ``transported_point(x)`` and nu'_a = nu_a - nu_{a-1}
+    (cyclic): the substitution carries the symbol's prefactor on x^nu to
+    the plain monomial.  A symbol F(xt, nu) would multiply both sides
+    alike, so it is left out."""
     tp = transported_point(point)
-
-    def F_at(vals):
-        total = Fraction(0)
-        for vec, fn in F_terms:
-            term = Fraction(fn(nu))
-            for a in range(N):
-                term *= Fraction(vals[a]) ** vec[a]
-            total += term
-        return total
-
-    lhs = F_at(tp)
-    for a in range(N):
-        e = -(nu[a] - nu[a - 1])
-        lhs *= (1 - tp[a]) ** e
-        lhs *= tp[a] ** nu[a]
-    rhs = F_at(tp)
-    for a in range(N):
+    lhs = rhs = Fraction(1)
+    for a in range(len(point)):
+        lhs *= (1 - tp[a]) ** (nu[a - 1] - nu[a]) * tp[a] ** nu[a]
         rhs *= Fraction(point[a]) ** nu[a]
     return lhs, rhs
 

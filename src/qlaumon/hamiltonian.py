@@ -317,29 +317,13 @@ def _borel_moved_op(spec):
 class DefectReport:
     """Per-degree defect summary of an eigenfunction check."""
 
-    def __init__(self, N, cap, seed, mode, form):
-        self.N = N
-        self.cap = cap
-        self.seed = seed
-        self.mode = mode
-        self.form = form
+    def __init__(self):
         self.per_degree = []   # (degree, number of bad coefficients)
         self.first_offender = None
 
     @property
     def ok(self):
         return self.first_offender is None
-
-    def as_dict(self):
-        return {
-            "N": self.N, "cap": self.cap, "seed": self.seed,
-            "mode": self.mode, "form": self.form,
-            "per_degree": [{"degree": d, "bad_coefficients": n}
-                           for d, n in self.per_degree],
-            "first_offender": (None if self.first_offender is None
-                               else list(self.first_offender)),
-            "status": "pass" if self.ok else "fail",
-        }
 
 
 def verify_conjecture(N, cap, seed=1, mode="rational", form=DEFAULT_FORM,
@@ -350,7 +334,7 @@ def verify_conjecture(N, cap, seed=1, mode="rational", form=DEFAULT_FORM,
     spec = HamiltonianSpec(ps, form, cap)
     psi = solution_series(ps, cap)
     defect = hamiltonian_op(spec)(psi) - psi
-    report = DefectReport(N, cap, seed, mode, form)
+    report = DefectReport()
     by_degree = defect.degrees()
     for d in range(cap + 1):
         bad = by_degree.get(d, [])

@@ -188,6 +188,28 @@ def cocycle_poly(spec, rvec):
     return {k: v / norm for k, v in poly.items()}
 
 
+def check_vandermonde_division(spec, zs):
+    """For each composition r of M, the antisymmetrized product divides
+    exactly by the Vandermonde (``cocycle_poly``), and the quotient at
+    the distinct points zs equals ``cocycle_eval``.  Returns the list of
+    failures (r, "remainder" or "value"), empty when both hold."""
+    bad = []
+    for r in compositions(spec.N, spec.M):
+        try:
+            poly = cocycle_poly(spec, r)
+        except ArithmeticError:
+            bad.append((r, "remainder"))
+            continue
+        value = spec.field.zero
+        for k, c in poly.items():
+            for z, e in zip(zs, k):
+                c = c * spow(z, e)
+            value = value + c
+        if value != cocycle_eval(spec, r, zs):
+            bad.append((r, "value"))
+    return bad
+
+
 def _divide_linear(poly, i, j, M, field):
     """Exact division by (z_i - z_j): synthetic division in z_i treating
     z_j as the root; remainder must vanish."""

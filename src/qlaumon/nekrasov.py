@@ -33,7 +33,8 @@ form (``scalars.Field``): plain residues in GF(p), and over Q
 (numerator, denominator) pairs of ints multiplied apart and never
 cancelled, so that a tuple's weight is its only gcd.  The oracle is the
 plain per-tuple product of the box-indexed factors (``tuple_weights``,
-``pair_weights``) summed by ``instanton_sum``.
+``pair_weights``), summed tuple by tuple by the test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from operator import truediv
 
 from .partitions import (colored_counts, conjugate, enumerate_tuples, part,
                          partitions_up_to)
-from .qfun import QContext, bracket_base, single_bracket
+from .qfun import QContext, single_bracket
 from .scalars import spow
-from .series import (MultiSeries, add_term, compose, delta_quadratic,
-                     eq_of_monomial, exp_series, mul_op, phi_product_normal_op,
+from .series import (MultiSeries, compose, delta_quadratic, eq_of_monomial,
+                     exp_series, mul_op, phi_product_normal_op,
                      shift_scaling_op)
 
 
@@ -112,8 +113,8 @@ def _row_keys(k, N, lam, mu):
     factors.  Rows beyond the diagram lengths contribute nothing.  The
     factors of a row pair sit at (e + t, f), t < n, for one (e, f).  The
     row ranges of lam read nothing of mu and those of mu nothing of lam,
-    so the number of factors is a count of lam plus a count of mu
-    (``nek_bracket_count``).
+    so the number of factors is a count of lam plus a count of mu (the
+    test oracles count it on the box walk).
     """
     # 1-based rows padded with zeros: lr[j] = part(lam, j) and
     # mr[i] = part(mu, i) at every index read below
@@ -168,121 +169,38 @@ def _boxes_with_colors(lam):
             yield i, j, conj[j - 1]
 
 
-def nek_sinh_box(k, N, lam, mu, sqrt_u, nc):
-    """Box-indexed form of the sinh-type factor, a scalar (the value of
-    ``nek_sinh``)."""
-    k = k % N
-    out = nc.field.one
+def _box_keys(k, N, lam, mu):
+    """The keys (a, f) of the single factors of the color-k pair
+    (lam, mu) on the box walk, with ' the conjugate partition: the boxes
+    (i, j) of mu with mu'_j - i = -k - 1 (mod N), at (lam_i - j,
+    i - mu'_j - 1), then the boxes (i, j) of lam with lam'_j - i = k
+    (mod N), at (j - 1 - mu_i, lam'_j - i).  A key names the same single
+    factor as in ``_row_keys``, but the walk shares nothing with it."""
     for i, j, cj in _boxes_with_colors(mu):
         if (cj - i) % N == (-k - 1) % N:
-            arg = sqrt_u * spow(nc.sqrt_q, part(lam, i) - j) \
-                * spow(nc.sqrt_kappa, i - cj - 1)
-            out = out * single_bracket(arg)
+            yield part(lam, i) - j, i - cj - 1
     for i, j, cj in _boxes_with_colors(lam):
         if (cj - i) % N == k % N:
-            arg = sqrt_u * spow(nc.sqrt_q, -part(mu, i) + j - 1) \
-                * spow(nc.sqrt_kappa, cj - i)
-            out = out * single_bracket(arg)
+            yield -part(mu, i) + j - 1, cj - i
+
+
+def nek_sinh_box(k, N, lam, mu, sqrt_u, nc):
+    """Box-indexed form of the sinh-type factor, a scalar (the value of
+    ``nek_sinh``): the product of the single brackets
+    [sqrt_u sqrt_q^a sqrt_kappa^f] over the keys of ``_box_keys``."""
+    out = nc.field.one
+    for a, f in _box_keys(k, N, lam, mu):
+        out = out * single_bracket(
+            sqrt_u * spow(nc.sqrt_q, a) * spow(nc.sqrt_kappa, f))
     return out
 
 
 def nek_poch_box(k, N, lam, mu, u, nc):
-    """Color-k Pochhammer-type factor (box-indexed product of 1 - ...)."""
-    k = k % N
+    """Color-k Pochhammer-type factor: the product of 1 - u q^a kappa^f
+    over the keys of ``_box_keys``."""
     out = nc.field.one
-    for i, j, cj in _boxes_with_colors(mu):
-        if (cj - i) % N == (-k - 1) % N:
-            arg = u * spow(nc.q, part(lam, i) - j) * spow(nc.kappa, i - cj - 1)
-            out = out * (nc.field.one - arg)
-    for i, j, cj in _boxes_with_colors(lam):
-        if (cj - i) % N == k % N:
-            arg = u * spow(nc.q, -part(mu, i) + j - 1) * spow(nc.kappa, cj - i)
-            out = out * (nc.field.one - arg)
-    return out
-
-
-def nek_bracket_count(k, N, lam, mu):
-    """Number of bracket factors of the color-k pair (row sums of the two
-    colored residue classes: |mu|_{-k} + |lam|_{k+1})."""
-    k = k % N
-    total = 0
-    for i, j, cj in _boxes_with_colors(mu):
-        if (cj - i) % N == (-k - 1) % N:
-            total += 1
-    for i, j, cj in _boxes_with_colors(lam):
-        if (cj - i) % N == k % N:
-            total += 1
-    return total
-
-
-def nek_matter_fund(lam, k, sqrt_u, nc, N):
-    """Finite-product form of the factor with empty second partition:
-    product over columns i of [u q^{i-1} kappa^k ; kappa^N]_m with
-    m = floor((conj_i + N - 1 - k)/N)."""
-    k = k % N
-    sqrt_base = spow(nc.sqrt_kappa, N)
-    conj = conjugate(lam)
-    out = nc.field.one
-    for i, ci in enumerate(conj, start=1):
-        m = (ci + N - 1 - k) // N
-        if m == 0:
-            continue
-        arg = sqrt_u * spow(nc.sqrt_q, i - 1) * spow(nc.sqrt_kappa, k)
-        out = out * bracket_base(arg, m, sqrt_base)
-    return out
-
-
-def nek_matter_anti(lam, ell, sqrt_u, nc, N):
-    """Finite-product form of the factor with empty first partition:
-    product over columns i of [u q^{-i} kappa^{ell - N m} ; kappa^N]_m
-    with m = floor((conj_i + ell)/N)."""
-    ell = ell % N
-    sqrt_base = spow(nc.sqrt_kappa, N)
-    conj = conjugate(lam)
-    out = nc.field.one
-    for i, ci in enumerate(conj, start=1):
-        m = (ci + ell) // N
-        if m == 0:
-            continue
-        arg = sqrt_u * spow(nc.sqrt_q, -i) * spow(nc.sqrt_kappa, ell - N * m)
-        out = out * bracket_base(arg, m, sqrt_base)
-    return out
-
-
-def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
-    """The double ratio  N(lam,mu) N(0,0) / (N(lam,0) N(0,mu))  evaluated
-    through the infinite-product form of the factor, reduced to finite
-    brackets: all strip contributions cancel between the four diagrams and
-    only the core box  i <= width(mu), j <= width(lam)  survives, each
-    cell contributing
-
-        prod over the three floor offsets of
-            bracket-at-(u q^{j-i-1} kappa^{k-N}) / bracket-at-(u q^{j-i}),
-
-    with base t = kappa^{-N} and offsets F(mu,lam), -F(mu,0), -F(0,lam).
-    """
-    lamc = conjugate(lam)
-    muc = conjugate(mu)
-    wl = len(lamc)
-    wm = len(muc)
-    sqrt_t = spow(nc.sqrt_kappa, -N)
-
-    def cell(i, j, F):
-        if F == 0:
-            return nc.field.one
-        sy_hi = sqrt_u * spow(nc.sqrt_q, j - i) * spow(nc.sqrt_kappa, k % N - N)
-        sy_lo = sy_hi / nc.sqrt_q
-        return bracket_base(sy_lo, F, sqrt_t) / bracket_base(sy_hi, F, sqrt_t)
-
-    out = nc.field.one
-    for i in range(1, wm + 1):
-        for j in range(1, wl + 1):
-            mc = muc[i - 1]
-            lc = lamc[j - 1]
-            f_full = (mc + k - lc) // N
-            f_lam = (k - lc) // N
-            f_mu = (mc + k) // N
-            out = out * cell(i, j, f_full) / (cell(i, j, f_lam) * cell(i, j, f_mu))
+    for a, f in _box_keys(k, N, lam, mu):
+        out = out * (nc.field.one - u * spow(nc.q, a) * spow(nc.kappa, f))
     return out
 
 
@@ -467,17 +385,6 @@ def skeleton_sum(N, cap, field, argument, singles, xa, xb, xc, factor=None):
     return out
 
 
-def instanton_sum(N, cap, weight, field):
-    """The sum of ``weight(tup)`` times x^{colored counts of tup} over the
-    N-tuples of partitions of total size at most ``cap``, as a
-    MultiSeries over ``field``: the per-tuple oracle of
-    ``skeleton_sum``."""
-    out = MultiSeries.zero(N, cap, field)
-    for tup in enumerate_tuples(N, cap):
-        add_term(out.terms, colored_counts(tup, N), weight(tup))
-    return out
-
-
 def laumon_partition_function(lp, cap, kind="sinh"):
     """Partition function as a MultiSeries in the N expansion slots,
     truncated at total colored degree ``cap``.  kind is "sinh" or "poch".
@@ -542,8 +449,8 @@ def pair_weights(N, field, pair, xa, xb, xc, pure=False):
     """The weight of a tuple as a function of the tuple, from the pair
     factory ``pair(x, y, k)``: it returns the color-k factor of the
     argument formed from x and y as a function of two partitions, a
-    scalar of ``field``.  With ``instanton_sum`` it is the per-tuple
-    oracle of ``skeleton_sum``.
+    scalar of ``field``.  Summed tuple by tuple (``tests/oracles.py``)
+    it is the oracle of ``skeleton_sum``.
 
     A tuple's weight is the product over slot pairs (i, j), color j - i,
     of n1 n2 / dd: n1 pairs (empty, tup[j]) at (xa[i], xb[j]), n2 pairs

@@ -78,14 +78,6 @@ class ParamSet:
         return ParamSet(self.N, self.field, self.sqrt_q, self.sqrt_kappa,
                         self.sqrt_b, self.sqrt_d, new_dbar_sqrt)
 
-    def inverted(self):
-        """Parameter set with every base parameter inverted (bar involution)."""
-        return ParamSet(self.N, self.field,
-                        1 / self.sqrt_q, 1 / self.sqrt_kappa,
-                        [1 / s for s in self.sqrt_b],
-                        [1 / s for s in self.sqrt_d],
-                        [1 / s for s in self.sqrt_dbar])
-
 
 def _draw_sqrt(rng, field):
     """One nonzero square root, away from 0 and +-1."""

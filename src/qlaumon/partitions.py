@@ -29,14 +29,6 @@ def conjugate(parts):
     return tuple(out)
 
 
-def row_sum_residue(parts, beta, N):
-    """Sum of the rows of the partition whose index is beta mod N."""
-    b = beta % N
-    if b == 0:
-        b = N
-    return sum(parts[i - 1] for i in range(b, len(parts) + 1, N))
-
-
 def colored_counts(ptuple, N):
     """Box counts per color: k_i = sum over components alpha of the rows
     with row index r satisfying alpha + r = i + 1 (mod N), i = 1..N."""
@@ -47,16 +39,6 @@ def colored_counts(ptuple, N):
             color = (alpha + r0) % N  # alpha + (r0+1) - 1
             counts[(color - 1) % N] += row
     return tuple(counts)
-
-
-def shifted_residues(ptuple, N):
-    """Per-column end-box colors: for column c of the i-th component,
-    (conjugate length + i - 1) mod N, listed component by component."""
-    out = []
-    for i0, lam in enumerate(ptuple):
-        conj = conjugate(lam)
-        out.append(tuple((col + i0) % N for col in conj))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

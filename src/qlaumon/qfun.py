@@ -89,35 +89,6 @@ def single_bracket(sqrt_x):
     return 1 / sqrt_x - sqrt_x
 
 
-def bracket_base(sqrt_u, n, sqrt_base):
-    """[u; p]_n for an arbitrary base p given via sqrt_base (e.g. p = kappa^N)."""
-    if n < 0:
-        v = bracket_base(sqrt_u * spow(sqrt_base, n), -n, sqrt_base)
-        return 1 / v
-    out = None
-    for j in range(n):
-        f = single_bracket(sqrt_u * spow(sqrt_base, j))
-        out = f if out is None else out * f
-    if out is None:
-        return sqrt_u / sqrt_u  # one, in the right field
-    return out
-
-
-def bracket_ratio_finite(sqrt_u, n, ctx):
-    """[u;q]_n computed through the half-base product pair
-
-        (u^{1/2}; q^{1/2})_n * (-q^{(1-n)/2} u^{-1/2}; q^{1/2})_n,
-
-    i.e. the finite form of the ratio [u;q]_inf / [q^n u;q]_inf.  Must
-    agree with ``bracket``.
-    """
-    if n < 0:
-        return 1 / bracket_ratio_finite(sqrt_u * spow(ctx.sqrt_q, n), -n, ctx)
-    p1 = poch(sqrt_u, ctx.sqrt_q, n)
-    p2 = poch(-spow(ctx.sqrt_q, 1 - n) / sqrt_u, ctx.sqrt_q, n)
-    return p1 * p2
-
-
 def qbinom(n, k, ctx):
     """Gaussian binomial coefficient; zero outside 0 <= k <= n."""
     if k < 0 or k > n:

@@ -181,6 +181,18 @@ def check_transition(n, bound, ctx, a, b, c, swapped=False):
     return bad
 
 
+def draw_kernel_args(rng, field, ctx, n, bound):
+    """Arguments (a, b, c) for ``check_transition(n, bound, ...)``,
+    redrawn until no denominator (b;q)_s or (c;q)_s, s <= n bound, of its
+    kernels vanishes: over Q about one draw in 23 puts b or c at a
+    negative power of q."""
+    for _ in range(50):
+        a, b, c = (rand_square(rng, field)[1] for _ in range(3))
+        if poch(b, ctx.q, n * bound) and poch(c, ctx.q, n * bound):
+            return a, b, c
+    raise RuntimeError("could not draw generic kernel arguments")
+
+
 # -- base polynomials and the connection solve --------------------------------
 
 
@@ -225,33 +237,6 @@ def b2_inverse_entry(ivec, jvec, lam, M, ctx):
     N_j(lam)^{-1} Phi_q(ibar | jbar; lam^{-1}, q^{-M})."""
     return phi_kernel(ivec[:-1], jvec[:-1], 1 / lam, spow(ctx.q, -M), ctx) \
         / norm_factor(jvec, lam, M, ctx)
-
-
-def b2_specialized(ivec, jvec, lam, M, ctx):
-    """Closed form of the second basis at the reference points:
-    N_i(lam) Phi_q(ibar | jbar; q^{-M}, lam^{-1})."""
-    return norm_factor(ivec, lam, M, ctx) \
-        * phi_kernel(ivec[:-1], jvec[:-1], spow(ctx.q, -M), 1 / lam, ctx)
-
-
-def b1_specialized(ivec, jvec, lam, mus, M, ctx):
-    """Closed form of the first basis at the reference points (valid for
-    arbitrary mass scalars mu_a through the confluent kernel)."""
-    N = len(ivec)
-    out = ctx.field.one
-    # q^{<c, i>} = prod_a mus[a]^{-(i_{a+1}+...+i_N)}
-    suf = sum(ivec)
-    for a in range(N):
-        suf -= ivec[a]
-        out = out * spow(mus[a], -suf)
-    lam_masses = lam
-    for m in mus:
-        lam_masses = lam_masses * m
-    out = out * poch(lam_masses, ctx.q, M) / ctx.qq(M)
-    for i in ivec:
-        out = out * ctx.qq(i)
-    return out * phi_kernel_masslike(ivec[:-1], jvec[:-1], mus[:-1],
-                                     lam_masses, M, ctx)
 
 
 class ConnectionCheckFailed(ArithmeticError):

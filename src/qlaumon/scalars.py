@@ -214,7 +214,8 @@ class Jet:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((Jet, self.a, self.b))
+        # a jet with zero h-part equals its constant, so hashes as it
+        return hash(self.a) if self.b == 0 else hash((Jet, self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

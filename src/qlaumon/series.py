@@ -154,26 +154,6 @@ def exp_series(s):
     return out
 
 
-def series_inverse(s):
-    """1/s for s with invertible constant term (Neumann series to the cap)."""
-    c0 = s.get((0,) * s.N)
-    if not c0:
-        raise ZeroDivisionError("series has zero constant term")
-    ic0 = 1 / c0
-    rest = (s - MultiSeries.monomial(s.N, s.cap, s.field, (0,) * s.N,
-                                     c0)).scale(ic0)
-    out = MultiSeries.one(s.N, s.cap, s.field)
-    power = MultiSeries.one(s.N, s.cap, s.field)
-    sign = -1
-    for _ in range(s.cap):
-        power = power * rest
-        if power.is_zero():
-            break
-        out = out + power.scale(s.field.of(sign))
-        sign = -sign
-    return out.scale(ic0)
-
-
 # -- q-function series --------------------------------------------------
 
 

@@ -1,0 +1,299 @@
+"""Reference implementations that only the tests read.
+
+Each is an independent form of something the library computes another
+way (a factor through finite products instead of the row walk, a closed
+form instead of a solve, a direct expansion instead of a formula), so a
+test can compare the two.  None of them is on a path that a command, a
+demo or the benchmark runs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from qlaumon.fourd import JET_Q
+from qlaumon.nekrasov import _box_keys
+from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
+from qlaumon.qfun import poch, single_bracket
+from qlaumon.rmatrix import norm_factor, phi_kernel, phi_kernel_masslike
+from qlaumon.scalars import Jet, spow
+from qlaumon.series import MultiSeries, add_term
+
+
+# -- q-functions (qfun) --------------------------------------------------------
+
+
+def bracket_base(sqrt_u, n, sqrt_base):
+    """[u; p]_n for an arbitrary base p given via sqrt_base (e.g. p = kappa^N)."""
+    if n < 0:
+        v = bracket_base(sqrt_u * spow(sqrt_base, n), -n, sqrt_base)
+        return 1 / v
+    out = None
+    for j in range(n):
+        f = single_bracket(sqrt_u * spow(sqrt_base, j))
+        out = f if out is None else out * f
+    if out is None:
+        return sqrt_u / sqrt_u  # one, in the right field
+    return out
+
+
+def bracket_ratio_finite(sqrt_u, n, ctx):
+    """[u;q]_n computed through the half-base product pair
+
+        (u^{1/2}; q^{1/2})_n * (-q^{(1-n)/2} u^{-1/2}; q^{1/2})_n,
+
+    i.e. the finite form of the ratio [u;q]_inf / [q^n u;q]_inf.  Must
+    agree with ``qfun.bracket``.
+    """
+    if n < 0:
+        return 1 / bracket_ratio_finite(sqrt_u * spow(ctx.sqrt_q, n), -n, ctx)
+    p1 = poch(sqrt_u, ctx.sqrt_q, n)
+    p2 = poch(-spow(ctx.sqrt_q, 1 - n) / sqrt_u, ctx.sqrt_q, n)
+    return p1 * p2
+
+
+# -- series --------------------------------------------------------------------
+
+
+def series_inverse(s):
+    """1/s for s with invertible constant term (Neumann series to the cap)."""
+    c0 = s.get((0,) * s.N)
+    if not c0:
+        raise ZeroDivisionError("series has zero constant term")
+    ic0 = 1 / c0
+    rest = (s - MultiSeries.monomial(s.N, s.cap, s.field, (0,) * s.N,
+                                     c0)).scale(ic0)
+    out = MultiSeries.one(s.N, s.cap, s.field)
+    power = MultiSeries.one(s.N, s.cap, s.field)
+    sign = -1
+    for _ in range(s.cap):
+        power = power * rest
+        if power.is_zero():
+            break
+        out = out + power.scale(s.field.of(sign))
+        sign = -sign
+    return out.scale(ic0)
+
+
+# -- partitions ----------------------------------------------------------------
+
+
+def row_sum_residue(parts, beta, N):
+    """Sum of the rows of the partition whose index is beta mod N."""
+    b = beta % N
+    if b == 0:
+        b = N
+    return sum(parts[i - 1] for i in range(b, len(parts) + 1, N))
+
+
+def shifted_residues(ptuple, N):
+    """Per-column end-box colors: for column c of the i-th component,
+    (conjugate length + i - 1) mod N, listed component by component."""
+    out = []
+    for i0, lam in enumerate(ptuple):
+        conj = conjugate(lam)
+        out.append(tuple((col + i0) % N for col in conj))
+    return tuple(out)
+
+
+# -- Nekrasov factors and the instanton sum (nekrasov) -------------------------
+
+
+def nek_bracket_count(k, N, lam, mu):
+    """Number of bracket factors of the color-k pair (row sums of the two
+    colored residue classes: |mu|_{-k} + |lam|_{k+1}), counted on the box
+    walk, which shares nothing with the row walk."""
+    return sum(1 for _ in _box_keys(k, N, lam, mu))
+
+
+def nek_matter_fund(lam, k, sqrt_u, nc, N):
+    """Finite-product form of the factor with empty second partition:
+    product over columns i of [u q^{i-1} kappa^k ; kappa^N]_m with
+    m = floor((conj_i + N - 1 - k)/N)."""
+    k = k % N
+    sqrt_base = spow(nc.sqrt_kappa, N)
+    conj = conjugate(lam)
+    out = nc.field.one
+    for i, ci in enumerate(conj, start=1):
+        m = (ci + N - 1 - k) // N
+        if m == 0:
+            continue
+        arg = sqrt_u * spow(nc.sqrt_q, i - 1) * spow(nc.sqrt_kappa, k)
+        out = out * bracket_base(arg, m, sqrt_base)
+    return out
+
+
+def nek_matter_anti(lam, ell, sqrt_u, nc, N):
+    """Finite-product form of the factor with empty first partition:
+    product over columns i of [u q^{-i} kappa^{ell - N m} ; kappa^N]_m
+    with m = floor((conj_i + ell)/N)."""
+    ell = ell % N
+    sqrt_base = spow(nc.sqrt_kappa, N)
+    conj = conjugate(lam)
+    out = nc.field.one
+    for i, ci in enumerate(conj, start=1):
+        m = (ci + ell) // N
+        if m == 0:
+            continue
+        arg = sqrt_u * spow(nc.sqrt_q, -i) * spow(nc.sqrt_kappa, ell - N * m)
+        out = out * bracket_base(arg, m, sqrt_base)
+    return out
+
+
+def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
+    """The double ratio  N(lam,mu) N(0,0) / (N(lam,0) N(0,mu))  evaluated
+    through the infinite-product form of the factor, reduced to finite
+    brackets: all strip contributions cancel between the four diagrams and
+    only the core box  i <= width(mu), j <= width(lam)  survives, each
+    cell contributing
+
+        prod over the three floor offsets of
+            bracket-at-(u q^{j-i-1} kappa^{k-N}) / bracket-at-(u q^{j-i}),
+
+    with base t = kappa^{-N} and offsets F(mu,lam), -F(mu,0), -F(0,lam).
+    """
+    lamc = conjugate(lam)
+    muc = conjugate(mu)
+    wl = len(lamc)
+    wm = len(muc)
+    sqrt_t = spow(nc.sqrt_kappa, -N)
+
+    def cell(i, j, F):
+        if F == 0:
+            return nc.field.one
+        sy_hi = sqrt_u * spow(nc.sqrt_q, j - i) * spow(nc.sqrt_kappa, k % N - N)
+        sy_lo = sy_hi / nc.sqrt_q
+        return bracket_base(sy_lo, F, sqrt_t) / bracket_base(sy_hi, F, sqrt_t)
+
+    out = nc.field.one
+    for i in range(1, wm + 1):
+        for j in range(1, wl + 1):
+            mc = muc[i - 1]
+            lc = lamc[j - 1]
+            f_full = (mc + k - lc) // N
+            f_lam = (k - lc) // N
+            f_mu = (mc + k) // N
+            out = out * cell(i, j, f_full) / (cell(i, j, f_lam) * cell(i, j, f_mu))
+    return out
+
+
+def instanton_sum(N, cap, weight, field):
+    """The sum of ``weight(tup)`` times x^{colored counts of tup} over the
+    N-tuples of partitions of total size at most ``cap``, as a
+    MultiSeries over ``field``: the per-tuple oracle of
+    ``nekrasov.skeleton_sum``."""
+    out = MultiSeries.zero(N, cap, field)
+    for tup in enumerate_tuples(N, cap):
+        add_term(out.terms, colored_counts(tup, N), weight(tup))
+    return out
+
+
+# -- closed forms of the connection bases (rmatrix) ----------------------------
+
+
+def b2_specialized(ivec, jvec, lam, M, ctx):
+    """Closed form of the second basis at the reference points:
+    N_i(lam) Phi_q(ibar | jbar; q^{-M}, lam^{-1})."""
+    return norm_factor(ivec, lam, M, ctx) \
+        * phi_kernel(ivec[:-1], jvec[:-1], spow(ctx.q, -M), 1 / lam, ctx)
+
+
+def b1_specialized(ivec, jvec, lam, mus, M, ctx):
+    """Closed form of the first basis at the reference points (valid for
+    arbitrary mass scalars mu_a through the confluent kernel)."""
+    N = len(ivec)
+    out = ctx.field.one
+    # q^{<c, i>} = prod_a mus[a]^{-(i_{a+1}+...+i_N)}
+    suf = sum(ivec)
+    for a in range(N):
+        suf -= ivec[a]
+        out = out * spow(mus[a], -suf)
+    lam_masses = lam
+    for m in mus:
+        lam_masses = lam_masses * m
+    out = out * poch(lam_masses, ctx.q, M) / ctx.qq(M)
+    for i in ivec:
+        out = out * ctx.qq(i)
+    return out * phi_kernel_masslike(ivec[:-1], jvec[:-1], mus[:-1],
+                                     lam_masses, M, ctx)
+
+
+# -- first-order expansions of q-ratios (fourd) --------------------------------
+
+
+def ratio_limit_formula(alpha, order):
+    """Coefficients of (q^alpha x; q)_inf / (x; q)_inf as jets through
+    x^order: term k is C(alpha+k-1, k)(1 + h k (alpha - 1)/2), matching
+    (1-x)^{-alpha} (1 + (h/2) alpha (alpha-1) x/(1-x)) term by term."""
+    out = []
+    for k in range(order + 1):
+        c = comb_signed(alpha + k - 1, k)
+        out.append(Jet(c, Fraction(c * k * (alpha - 1), 2)))
+    return out
+
+
+def ratio_limit_direct(alpha, order):
+    """The same coefficients from sum_k (q^alpha;q)_k/(q;q)_k x^k with
+    jet arithmetic (alpha a nonnegative integer).  Every factor 1 - q^c
+    is divisible by h, so each is carried as (1 - q^c)/(-h) = c + C(c,2) h
+    before dividing (the h powers of numerator and denominator match)."""
+    def reduced(c):
+        return Jet(c, comb(c, 2))
+
+    out = []
+    for k in range(order + 1):
+        if alpha == 0:
+            out.append(Jet(1) if k == 0 else Jet(0))
+            continue
+        val = Jet(1)
+        for l in range(k):
+            val = val * reduced(alpha + l) / reduced(1 + l)
+        out.append(val)
+    return out
+
+
+def signed_ratio_limit_check(alpha, beta, order):
+    """(-q^alpha x;q)_inf / (-q^beta x;q)_inf = (1+x)^{beta-alpha} {1 -
+    (h/2)(alpha-beta)(alpha+beta-1) x/(1+x)}, checked coefficientwise
+    through x^order for integers alpha >= beta >= 0.  (The h-term sign and
+    the 1+x denominator follow from the b = 1 case of the plain ratio.)"""
+    # direct: product form of the ratio = (q^beta (-x); q)_{alpha-beta}^{-1}
+    # only when alpha >= beta; expand 1/(y;q)_n as a series in x
+    n = alpha - beta
+    direct = [Jet(1)] + [Jet(0)] * order
+    # 1/prod_{l<n}(1 + q^{beta+l} x): multiply the inverse factors
+    for l in range(n):
+        geom = [(-Jet(1) * JET_Q ** (beta + l)) ** k for k in range(order + 1)]
+        new = [Jet(0)] * (order + 1)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                new[i + j] = new[i + j] + direct[i] * geom[j]
+        direct = new
+    formula = []
+    for k in range(order + 1):
+        formula.append(Jet(comb_signed(beta - alpha, k)))
+    # first-order part: -(h/2)(alpha-beta)(alpha+beta-1) x/(1+x)
+    pref = -Fraction((alpha - beta) * (alpha + beta - 1), 2)
+    for k in range(1, order + 1):
+        corr = Fraction(0)
+        for j in range(1, k + 1):
+            corr += comb_signed(beta - alpha, k - j) * (-1) ** (j - 1)
+        formula[k] = formula[k] + Jet(0, pref * corr)
+    return direct == formula
+
+
+def comb_signed(n, k):
+    """Binomial coefficient C(n, k) for any integer n, k >= 0."""
+    if k < 0:
+        return 0
+    num = 1
+    for j in range(k):
+        num *= (n - j)
+    return Fraction(num, factorial(k))
+
+
+def binomial_square_identity(a):
+    """C(a,2) + C(-a,2) = a^2 for integer a (used when combining the two
+    first-order corrections)."""
+    return comb_signed(a, 2) + comb_signed(-a, 2) == a * a

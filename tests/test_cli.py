@@ -143,6 +143,22 @@ def test_props_suites_pass():
         assert doc["status"] == "pass"
 
 
+def test_negative_truncation_vector_is_a_usage_error():
+    code, _ = run_cli(["props", "--suite", "combinatorics", "--m=-1,2"])
+    assert code == 2
+
+
+def test_terminated_equation_skipped_where_the_sampler_has_no_draw():
+    # over Q the sampler serves no rank above five; GF(p) does
+    argv = ["props", "--suite", "combinatorics", "--m", "1,1,1,1,1,1"]
+    code, status, detail = check_status(argv, "terminated-equation")
+    assert (code, status) == (0, "skipped")
+    assert "could not sample" in detail["reason"]
+    code, status, _ = check_status(argv + ["--mode", "prime"],
+                                   "terminated-equation")
+    assert (code, status) == (0, "pass")
+
+
 def test_combinatorics_emits_polyhedron_vertices():
     code, out = run_cli(["props", "--suite", "combinatorics",
                          "--m", "3,2,1"])
@@ -162,3 +178,153 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+# -- the paper's identities as report checks -----------------------------------
+
+# Each host report: the checks it had before the paper claims below became
+# checks, then those, in report order.
+HOST_CHECKS = {
+    ("rmatrix", "--n", "2", "--m-total", "2"): (
+        ["closed-inverse-and-residuals", "closed-form-equals-connection",
+         "triangular-zero-pattern", "gauge-match"],
+        ["kernel-transition"]),
+    ("props", "--suite", "combinatorics"): (
+        ["support-count-and-bijection", "rank-ten-n3-m3"],
+        ["terminated-equation"]),
+    ("props", "--suite", "dynkin"): (
+        ["dynkin-family-n3-deg2", "moved-borel-triple-n3-deg2"],
+        ["cyclic-matrix-factorization-n3", "cyclic-matrix-factorization-n4"]),
+    ("props", "--suite", "jackson"): (
+        ["cocycle-rank-2-1", "cocycle-rank-2-2", "cocycle-rank-3-2"],
+        ["vandermonde-division-2-1", "vandermonde-division-2-2",
+         "vandermonde-division-3-2"]),
+    ("props", "--suite", "4d"): (
+        ["jet-expansion-x50", "first-order-symbol-difference",
+         "annihilation-n2-deg4"],
+        ["annihilation-n3-deg4", "transport-identity"]),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_host_reports_list_old_checks_then_new(mode):
+    for argv, (old, new) in HOST_CHECKS.items():
+        code, out = run_cli(list(argv) + ["--mode", mode])
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["checks"]] == old + new, argv
+        assert code == 0 and doc["status"] == "pass", argv
+
+
+def check_status(argv, name):
+    """Exit code of the command and the status and detail of one check."""
+    code, out = run_cli(argv)
+    entry = next(c for c in json.loads(out)["checks"] if c["name"] == name)
+    return code, entry["status"], entry.get("detail")
+
+
+def test_terminated_equation_fails_on_a_wrong_mass_side(monkeypatch):
+    import qlaumon.hamiltonian as ham
+    side = ham.terminated_side
+
+    def doubled_mass_side(mvec, mus, ctx, which):
+        expand = side(mvec, mus, ctx, which)
+        if which != "mass":
+            return expand
+        return lambda th: [(kv, c + c if any(kv) else c)
+                           for kv, c in expand(th)]
+
+    monkeypatch.setattr(ham, "terminated_side", doubled_mass_side)
+    code, status, detail = check_status(
+        ["props", "--suite", "combinatorics"], "terminated-equation")
+    assert (code, status) == (1, "fail")
+    assert detail == {"support": True, "equation": False}
+
+
+def test_cyclic_matrix_factorization_fails_on_a_wrong_product(monkeypatch):
+    import qlaumon.hamiltonian as ham
+    mat_mul = ham.mat_mul
+
+    def off_by_one(A, B):
+        out = mat_mul(A, B)
+        out[0][0] = out[0][0] + 1
+        return out
+
+    monkeypatch.setattr(ham, "mat_mul", off_by_one)
+    for mode in ("rational", "prime"):
+        for n in (3, 4):
+            code, status, _ = check_status(
+                ["props", "--suite", "dynkin", "--mode", mode],
+                "cyclic-matrix-factorization-n%d" % n)
+            assert (code, status) == (1, "fail"), (mode, n)
+
+
+def test_kernel_transition_fails_on_a_wrong_kernel(monkeypatch):
+    # at N = 4 the transition law reads kernels of two components and the
+    # connection solve kernels of three, so only the law sees the change
+    import qlaumon.rmatrix as rm
+    kernel = rm.phi_kernel
+
+    def wrong_diagonal(gamma, beta, lam, mu, ctx):
+        v = kernel(gamma, beta, lam, mu, ctx)
+        return v + v if len(gamma) == 2 and gamma == beta and any(beta) else v
+
+    monkeypatch.setattr(rm, "phi_kernel", wrong_diagonal)
+    code, out = run_cli(["rmatrix", "--n", "4", "--m-total", "1"])
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert status == {"closed-inverse-and-residuals": "pass",
+                      "closed-form-equals-connection": "pass",
+                      "triangular-zero-pattern": "pass",
+                      "gauge-match": "skipped", "kernel-transition": "fail"}
+    code, status, _ = check_status(["rmatrix", "--n", "1", "--m-total", "2"],
+                                   "kernel-transition")
+    assert (code, status) == (0, "skipped")
+
+
+def test_vandermonde_division_fails_on_a_wrong_factor(monkeypatch):
+    import qlaumon.jackson as jk
+    factor = jk.cocycle_factor
+
+    def shifted(spec, ell, z):
+        return factor(spec, ell, z) + (1 if ell == 0 else 0)
+
+    monkeypatch.setattr(jk, "cocycle_factor", shifted)
+    for N, M in ((2, 1), (2, 2), (3, 2)):
+        code, status, detail = check_status(
+            ["props", "--suite", "jackson"], "vandermonde-division-%d-%d" % (N, M))
+        assert (code, status) == (1, "fail"), (N, M)
+        assert "value" in detail["failures"]
+
+
+def test_transport_identity_fails_on_a_wrong_substitution(monkeypatch):
+    import qlaumon.fourd as fd
+    transported = fd.transported_point
+
+    def scaled(point):
+        tp = transported(point)
+        return [tp[0] * 2] + tp[1:]
+
+    monkeypatch.setattr(fd, "transported_point", scaled)
+    code, status, detail = check_status(["props", "--suite", "4d"],
+                                        "transport-identity")
+    assert (code, status) == (1, "fail")
+    assert detail["failures"]
+
+
+def test_annihilation_at_rank_three_fails_on_a_wrong_series(monkeypatch):
+    import qlaumon.fourd as fd
+    limit = fd.laumon_4d
+
+    def moved_at_rank_three(ap, cap):
+        psi = limit(ap, cap)
+        if ap.N == 3:
+            psi.terms[(1, 0, 0)] += 1
+        return psi
+
+    monkeypatch.setattr(fd, "laumon_4d", moved_at_rank_three)
+    code, out = run_cli(["props", "--suite", "4d"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["annihilation-n2-deg4"]["status"] == "pass"
+    assert checks["annihilation-n3-deg4"]["status"] == "fail"
+    assert checks["annihilation-n3-deg4"]["detail"] == {"vanishes_through": 0}

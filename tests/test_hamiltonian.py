@@ -187,8 +187,7 @@ def test_verify_conjecture_report_shape():
     rep = verify_conjecture(2, 3, seed=5)
     assert rep.ok
     assert rep.per_degree == [(d, 0) for d in range(4)]
-    d = rep.as_dict()
-    assert d["status"] == "pass" and d["first_offender"] is None
+    assert rep.first_offender is None
 
 
 def test_verify_conjecture_detects_wrong_series():

@@ -10,10 +10,8 @@ from qlaumon import nekrasov, scalars
 from qlaumon.nekrasov import (DegenerateParameters, LaumonParams, NekContext,
                               check_inversion_symmetry,
                               check_poch_sinh_relation, gl1_closed_partition,
-                              gl1_closed_solution, infprod_double_ratio,
-                              instanton_skeleton, instanton_sum,
-                              laumon_partition_function, nek_bracket_count,
-                              nek_context, nek_matter_anti, nek_matter_fund,
+                              gl1_closed_solution, instanton_skeleton,
+                              laumon_partition_function, nek_context,
                               nek_poch_box, nek_sinh, nek_sinh_box,
                               solution_series, solution_spectral_params,
                               tuple_weights)
@@ -23,6 +21,9 @@ from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
 from qlaumon.qfun import bracket, single_bracket
 from qlaumon.scalars import FIELDS, spow
 from qlaumon.series import MultiSeries
+
+from oracles import (infprod_double_ratio, instanton_sum, nek_bracket_count,
+                     nek_matter_anti, nek_matter_fund)
 
 
 def generic_lp(seed, N, mode="rational"):

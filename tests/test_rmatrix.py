@@ -7,9 +7,8 @@ import pytest
 
 from qlaumon.params import rand_square, sample_params
 from qlaumon.qfun import QContext, poch
-from qlaumon.rmatrix import (b1_specialized, b2_inverse_entry, b2_specialized,
-                             b2_triangular_zeros, base_polynomial,
-                             check_transition, closed_matrix,
+from qlaumon.rmatrix import (b2_inverse_entry, b2_triangular_zeros,
+                             base_polynomial, check_transition, closed_matrix,
                              composition_to_support, compositions,
                              connection_matrix, gauge_match_to_hamiltonian,
                              _monomial_recognizer, norm_factor, phi_kernel,
@@ -19,6 +18,8 @@ from qlaumon.rmatrix import (b1_specialized, b2_inverse_entry, b2_specialized,
                              weight_shells)
 from qlaumon.scalars import spow
 from qlaumon.series import exponent_vectors
+
+from oracles import b1_specialized, b2_specialized
 
 
 def ctx_and_rng(seed, N, mode="rational"):

@@ -23,6 +23,13 @@ def test_jet_inverse():
         Jet(0, 1).inv()
 
 
+def test_jet_hash_agrees_with_equal_constant():
+    # Jet(a) == a, so the two must hash alike
+    assert len({Jet(1), 1}) == 1
+    assert hash(Jet(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({Jet(1, 1), Jet(1)}) == 2
+
+
 def test_prime_field_inverse():
     rng = random.Random(0)
     for _ in range(20):
