@@ -179,9 +179,12 @@ def cmd_rmatrix(args):
     rng = random.Random(("rmatrix", args.seed, N, M).__repr__())
     mus, sqrt_mus, lam = draw_mass_data(rng, ps.field, ctx, N, M)
     extra = [[rand_square(rng, ps.field)[1] for _ in range(N)] for _ in range(3)]
+    mvec = tuple([M] + [0] * (N - 1))
     # a failed identity is a failed check (exit 1); any other arithmetic
-    # error, such as a zero division, is a degenerate draw (exit 2)
+    # error, such as a zero division or a singular matrix, is a degenerate
+    # draw (exit 2)
     try:
+        gauge = gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx)
         rc, idx = connection_matrix(N, M, lam, mus, ctx, residual_points=extra)
         rx, _ = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
         failure = None
@@ -199,10 +202,8 @@ def cmd_rmatrix(args):
     rep.payload["weight_shells"] = sorted(
         [{"weight": list(c), "pairs": len(v)} for c, v in shells.items()],
         key=lambda e: e["weight"])
-    mvec = tuple([M] + [0] * (N - 1))
-    gauge = gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx)
     # the constant-diagonal gauge is established at rank two; beyond that
-    # the search is an experimental report, so not-found is not a failure
+    # the match is an experimental report, so not-found is not a failure
     rep.add("gauge-match", gauge.found, gauge.as_dict(),
             skipped=(not gauge.found and N > 2))
     if args.emit_matrix and rc is not None:

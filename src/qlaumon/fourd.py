@@ -26,6 +26,7 @@ from math import comb
 from operator import sub
 
 from .nekrasov import skeleton_sum
+from .qfun import poch
 from .scalars import Jet, RATIONAL
 from .series import MultiSeries, normal_ordered_dynamic_op
 
@@ -39,12 +40,8 @@ def jet_qpow(e):
 
 
 def jet_poch(a, b, x):
-    """(q^a x; q)_b as a jet, integer a and b >= 0, rational x."""
-    out = Jet(1)
-    xj = Jet(x)
-    for l in range(b):
-        out = out * (Jet(1) - JET_Q ** (a + l) * xj)
-    return out
+    """(q^a x; q)_b as a jet, integers a and b, rational x."""
+    return poch(JET_Q ** a * Jet(x), JET_Q, b)
 
 
 def poch_expansion_formula(a, b, x):
@@ -229,13 +226,6 @@ def check_transport_identity(nu, point):
 # -- first-order difference of the two equation symbols ------------------------
 
 
-def _jet_ratio_int(A, B, x):
-    """(q^A x;q)_inf / (q^B x;q)_inf as a jet for integers A, B."""
-    if A >= B:
-        return Jet(1) / jet_poch(B, A - B, x)
-    return jet_poch(A, B - A, x)
-
-
 def k_difference(nu, m, mbar, gammas, point):
     """O(h) part of the difference of the two equation symbols on x^nu at
     a rational point, divided by the common leading factor; masses and
@@ -251,8 +241,8 @@ def k_difference(nu, m, mbar, gammas, point):
     dsum = 0
     for a in range(N):
         tp = nu[a] - nu[a - 1]
-        s1 = s1 * _jet_ratio_int(tp + mbar[a], 0, point[a])
-        s2 = s2 * _jet_ratio_int(mbar[a] - m[a], -tp - m[a], point[a])
+        s1 = s1 * jet_poch(tp + mbar[a], -tp - mbar[a], point[a])
+        s2 = s2 * jet_poch(mbar[a] - m[a], -tp - mbar[a], point[a])
         gsum += Fraction(gammas[a]) * nu[a]
         dsum += nu[a] * tp
     s1 = s1 * jet_qpow(gsum)

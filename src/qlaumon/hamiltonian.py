@@ -22,8 +22,6 @@ by the same pair of infinite products.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .nekrasov import solution_series
 from .params import sample_params
 from .qfun import QContext
@@ -483,7 +481,7 @@ def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):
 # -- classical cyclic-matrix factorization -------------------------------------
 
 
-def cyclic_matrix_factorization_check(xs, z, field=None):
+def cyclic_matrix_factorization_check(xs, z, field):
     """Exact check of the factorization of the cyclic Jacobi-type matrix
 
         X = 1 + sum_i x_i e_i,   e_i = E_{i,i+1} (1<=i<=n-1),  e_0 = z E_{n,1},
@@ -493,7 +491,7 @@ def cyclic_matrix_factorization_check(xs, z, field=None):
     xs = (x_0, ..., x_{n-1}).  Returns True on exact equality.
     """
     n = len(xs)
-    one = Fraction(1) if field is None else field.one
+    one = field.one
     zero = one - one
 
     def jac(i, x, m=None):

@@ -134,6 +134,24 @@ def test_rmatrix_failed_identity_is_a_failed_check(monkeypatch):
     assert "matrix" not in doc
 
 
+def test_rmatrix_degenerate_gauge_exits_two(monkeypatch, capsys):
+    # a pole in the gauge match's shifted closed form is a degenerate draw:
+    # exit 2 with a message, as for the connection solve.  The gauge reads
+    # the module global; cli keeps its own binding of closed_matrix
+    import qlaumon.rmatrix as rm
+
+    def pole(*args):
+        raise ZeroDivisionError("pole")
+
+    monkeypatch.setattr(rm, "closed_matrix", pole)
+    code, out = run_cli(["rmatrix", "--n", "2", "--m-total", "1"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "degenerate parameters: pole" in err
+    assert "Traceback" not in err
+
+
 def test_props_suites_pass():
     for suite, mode in (("pentagon", "rational"), ("combinatorics", "rational"),
                         ("jackson", "rational"), ("jackson", "prime")):

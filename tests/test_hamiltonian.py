@@ -17,7 +17,7 @@ from qlaumon.hamiltonian import (HamiltonianSpec, apply_hamiltonian,
 from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import spow
+from qlaumon.scalars import RATIONAL, spow
 from qlaumon.series import (MultiSeries, eq_of_monomial,
                             ops_agree_on_monomials,
                             phi_of_monomial, sparse_op)
@@ -224,8 +224,9 @@ def test_cyclic_matrix_factorization():
         xs = [Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
               for _ in range(n)]
         z = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
-        assert cyclic_matrix_factorization_check(xs, z)
-    assert cyclic_matrix_factorization_check([Fraction(0)] * 4, Fraction(3))
+        assert cyclic_matrix_factorization_check(xs, z, RATIONAL)
+    assert cyclic_matrix_factorization_check([Fraction(0)] * 4, Fraction(3),
+                                             RATIONAL)
 
 
 def test_prime_mode_verification():

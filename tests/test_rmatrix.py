@@ -10,8 +10,9 @@ from qlaumon.qfun import QContext, poch
 from qlaumon.rmatrix import (b2_inverse_entry, b2_triangular_zeros,
                              base_polynomial, check_transition, closed_matrix,
                              composition_to_support, compositions,
-                             connection_matrix, gauge_match_to_hamiltonian,
-                             _monomial_recognizer, norm_factor, phi_kernel,
+                             connection_matrix, draw_mass_data,
+                             gauge_match_to_hamiltonian, norm_factor,
+                             phi_kernel,
                              phi_kernel_masslike, reference_point, s_of_m,
                              support_polyhedron_vertices, support_size_formula,
                              support_to_composition, truncated_equation_matrix,
@@ -148,14 +149,6 @@ def test_transition_property():
     assert check_transition(3, 1, ctx, a, b, c) == []
 
 
-def test_transition_swapped_variant_reported():
-    # the reversed-composition variant appears to hold as well; it is
-    # exploratory only
-    ps, ctx, rng = ctx_and_rng(31, 2)
-    a, b, c = Fraction(2, 7), Fraction(3, 5), Fraction(5, 11)
-    assert check_transition(2, 2, ctx, a, b, c, swapped=True) == []
-
-
 def test_masslike_kernel_matches_integer_specialization():
     ps, ctx, rng = ctx_and_rng(31, 2)
     q = ctx.q
@@ -287,6 +280,9 @@ def test_gauge_match_found_for_rank_two():
         assert rep.found, mvec
         assert rep.transform["lam_shift"] == -1
         assert rep.transform["mu_shifts"] == [-mvec[0], -mvec[1]]
+        size = support_size_formula(2, sum(mvec))
+        assert len(rep.left) == len(rep.right) == size, mvec
+        assert rep.right[0] == repr(ps.field.one), mvec
 
 
 def test_gauge_match_trivial_and_higher_rank_report():
@@ -302,15 +298,61 @@ def test_gauge_match_trivial_and_higher_rank_report():
     assert "tried" in rep3.note
 
 
-def test_monomial_recognizer_reads_exponents():
+def cli_mass_draw(seed, N, M, mode):
+    """The parameters and mass data of ``qlaumon rmatrix``."""
+    ps = sample_params(seed, N, mode)
+    ctx = QContext(ps.sqrt_q, ps.field)
+    rng = random.Random(("rmatrix", seed, N, M).__repr__())
+    return ps, ctx, draw_mass_data(rng, ps.field, ctx, N, M)
+
+
+@pytest.mark.parametrize("M, seed", [(1, 14), (1, 30), (2, 18), (2, 22),
+                                     (2, 23), (2, 28), (3, 8), (3, 22),
+                                     (4, 7), (4, 22)])
+def test_gauge_match_found_on_lattice_redraws(M, seed):
+    # under five hand-listed pole tests these rational draws put lam = q
+    # (a pole of the shifted closed form), lam mu_2 at 1 or q^{-1} (H and
+    # R both vanish at the gauge's pivot) or mu_1 = q (supports differ);
+    # the lattice rule redraws them
+    ps, ctx, (mus, sqrt_mus, lam) = cli_mass_draw(seed, 2, M, "rational")
+    rep = gauge_match_to_hamiltonian((M, 0), mus, sqrt_mus, lam, ctx)
+    assert rep.found
+    assert rep.note == "rank-one diagonal gauge solved"
+
+
+def test_prime_mass_draws_pinned():
+    # the lattice rule rejects no GF(p) draw that the five pole tests it
+    # replaced accepted: sha1 of the draws under those tests
+    h = hashlib.sha1()
+    for N in range(1, 5):
+        for M in range(5):
+            for seed in range(1, 11):
+                _, _, draw = cli_mass_draw(seed, N, M, "prime")
+                h.update(repr(draw).encode())
+    assert h.hexdigest() == "8575c0d0af08edc6af26aec47fa541a9b8efd8dd"
+
+
+def test_gauge_match_rejects_one_scaled_entry(monkeypatch):
+    # negative control: one nonzero entry of the shifted R scaled by 2 is
+    # no longer a diagonal gauge of H
+    import qlaumon.rmatrix as rm
+    closed = rm.closed_matrix
+
+    def scaled(*args):
+        R, idx = closed(*args)
+        assert R[-1][-1]
+        R[-1][-1] = R[-1][-1] * 2
+        return R, idx
+
     for mode in ("rational", "prime"):
-        ps, ctx, rng = ctx_and_rng(99, 2, mode)
-        mus, _ = draw_masses(rng, ps.field, 2)
-        lam = rand_square(rng, ps.field)[1]
-        recognize = _monomial_recognizer(ctx, mus, lam, 3, 40)
-        x = -ctx.qpow_half(3) * spow(mus[0], -1) * spow(lam, 2)
-        assert recognize(x) == (-1, 3, [-1, 0], 2), mode
-        assert recognize(1 + ctx.q) is None, mode
+        ps, ctx, (mus, sqrt_mus, lam) = cli_mass_draw(1, 2, 2, mode)
+        assert gauge_match_to_hamiltonian((2, 0), mus, sqrt_mus, lam,
+                                          ctx).found, mode
+        with monkeypatch.context() as m:
+            m.setattr(rm, "closed_matrix", scaled)
+            rep = gauge_match_to_hamiltonian((2, 0), mus, sqrt_mus, lam, ctx)
+        assert not rep.found, mode
+        assert rep.left is None and rep.right is None
 
 
 def test_truncated_equation_matrix_pinned():
