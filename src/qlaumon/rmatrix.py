@@ -11,8 +11,9 @@ Phi_q, which this module implements both ways:
     and contract with the closed-form inverse of the other basis' value
     matrix (Gaussian elimination never enters),
   * ``closed_matrix``: the explicit kernel formula, analytic in the
-    remaining mass parameters mu_a via q^{-c_a} -> mu_a (square roots of
-    mu_a carry the half-integer exponents of the prefactor).
+    remaining mass parameters mu_a via q^{-c_a} -> mu_a, as one product
+    R = D_row . A . B . D_col of two kernel matrices and two diagonals;
+    the masses enter D_row by integer powers that depend on the row alone.
 
 The two must agree entrywise; the acceptance suite checks this on a grid
 of (N, M).
@@ -20,7 +21,7 @@ of (N, M).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .params import rand_square
 from .qfun import finite_poch_coeffs, poch, qbinom
@@ -273,70 +274,57 @@ def connection_matrix(N, M, lam, mus, ctx, residual_points=None):
     return R, idx
 
 
-def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
-    """Closed form of the connection matrix entry via the kernel bilinear
-    sum.  Half-integer exponents enter only through sqrt_mus and sqrt_q."""
-    N = len(ivec)
-    f = ctx.field
-    ibar = ivec[:-1]
-    jbar = jvec[:-1]
-
-    # prefactor of the bilinear kernel sum:
-    # q^{(<c,j> - <j,j> - <i,c> + <i,i>)/2}.  Its pure q-power
-    # q^{(<i,i> - <j,j>)/2} cancels the inverse one of the scalar
-    # prefactor below, so neither is applied; the mass part remains.
-    pref = f.one
-    suf = sum(jvec)
-    for a in range(N):
-        suf -= jvec[a]
-        pref = pref * spow(sqrt_mus[a], -suf)
-    acc = 0
-    for b in range(N):
-        if b:
-            acc += ivec[b - 1]
-            pref = pref * spow(sqrt_mus[b], acc)
-
-    mu_full = lam
-    for m in mus:
-        mu_full = mu_full * m
-
-    kernel_sum = f.zero
-    for kv in exponent_vectors((0,) * (N - 1), jbar):
-        t = phi_kernel(kv, jbar, 1 / lam, spow(ctx.q, -M), ctx)
-        if not t:
-            continue
-        t = t * phi_kernel_masslike(ibar, kv, mus[:-1], mu_full, M, ctx)
-        kernel_sum = kernel_sum + t
-
-    # scalar prefactor carrying the half-powers of the masses
-    cpre = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2)
-    for a in range(N):
-        cpre = cpre * spow(sqrt_mus[a], -M + 2 * ivec[a] - jvec[a])
-    acc = 0
-    for b in range(N):
-        if b:
-            acc += jvec[b - 1] - ivec[b - 1]
-            cpre = cpre * spow(sqrt_mus[b], -acc)
-
-    out = cpre * poch(mu_full, ctx.q, M) \
-        / poch(lam * spow(ctx.q, -M + 1), ctx.q, M)
-    for i, j in zip(ivec, jvec):
-        out = out * ctx.qq(i) / ctx.qq(j)
-    return out * pref * kernel_sum
-
-
 def closed_matrix(N, M, lam, mus, sqrt_mus, ctx):
+    """R = D_row . A . B . D_col, the entrywise bilinear kernel sum
+    regrouped; i, j run over I_M and k over the jbar of I_M (|k| <= M):
+
+      * A[i][k] = ``phi_kernel_masslike(ibar, k, ...)``,
+      * B[k][j] = Phi_q(k | jbar; 1/lam, q^{-M}), zero unless k <= jbar,
+      * D_row[i] = C0 prod_a mu_a^{-(i_{a+1}+...+i_N)} (q;q)_{i_a},
+      * D_col[j] = 1 / prod_a (q;q)_{j_a},
+      * C0 = (-1)^M q^{M(1-M)/2} (lam prod mu; q)_M / (lam q^{1-M}; q)_M.
+
+    Each kernel is evaluated once, A only at the k whose row of B is not
+    zero.  The half-integer mass powers of the sum's two prefactors add
+    up to the row-only powers of D_row, so ``sqrt_mus`` is ignored until
+    ROADMAP item 5 drops it from the callers.  A pole raises
+    ZeroDivisionError."""
+    f = ctx.field
     idx = compositions(N, M)
-    R = [[closed_entry(i, j, lam, mus, sqrt_mus, M, ctx) for j in idx]
-         for i in idx]
+    bars = [j[:-1] for j in idx]
+    lam_inv = 1 / lam
+    q_m = spow(ctx.q, -M)
+    B = [[phi_kernel(k, jbar, lam_inv, q_m, ctx) for jbar in bars]
+         for k in bars]
+    used = [c for c, row in enumerate(B) if any(row)]
+    mu_full = prod(mus, start=lam)
+    A = [[phi_kernel_masslike(ibar, bars[c], mus[:-1], mu_full, M, ctx)
+          for c in used] for ibar in bars]
+    columns = [[(u, B[c][b]) for u, c in enumerate(used) if B[c][b]]
+               for b in range(len(idx))]
+
+    c0 = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2) \
+        * poch(mu_full, ctx.q, M) / poch(lam * spow(ctx.q, 1 - M), ctx.q, M)
+    mu_inv = [1 / m for m in mus[:-1]]
+    d_col = [1 / prod(map(ctx.qq, j)) for j in idx]
+    R = []
+    for i, a_row in zip(idx, A):
+        d_row = c0 * prod(map(ctx.qq, i))
+        suffix = M
+        for a in range(N - 1):
+            suffix -= i[a]
+            d_row = d_row * mu_inv[a] ** suffix
+        R.append([d_row * sum((a_row[u] * t for u, t in col), f.zero) * d
+                  for col, d in zip(columns, d_col)])
     return R, idx
 
 
 def weight_shells(N, M):
     """Pairs (i, j) of I_M x I_M grouped by the conserved weight i + j:
-    the kernel slots of ``closed_entry`` for the pair (i, j) are
-    (c - i, i; c - j, j) with c = i + j, so upper and lower slot sums
-    coincide shell by shell."""
+    the kernel slots that row i of A and column j of B in
+    ``closed_matrix`` contract for the pair (i, j) are (c - i, i; c - j, j)
+    with c = i + j, so upper and lower slot sums coincide shell by
+    shell."""
     idx = compositions(N, M)
     shells = {}
     for i in idx:
@@ -467,29 +455,35 @@ class GaugeMatchReport:
                 "left": self.left, "right": self.right, "note": self.note}
 
 
-def _rank_one_diagonals(H, R):
+def _rank_one_diagonals(H, R, one):
+    """Diagonals (left, right) with H[a][b] = left[a] R[a][b] right[b],
+    or None.  H and R must share their support; the ratio H/R fixes left
+    and right along the support's bipartite graph of rows and columns,
+    from one at the first column of each component (or at a row with no
+    support), and is then checked on every supported entry."""
     n = len(H)
-    rho = []
+    rho = {}
     for a in range(n):
-        row = []
         for b in range(n):
-            r = R[a][b]
-            h = H[a][b]
-            if (not r) != (not h):
+            if (not R[a][b]) != (not H[a][b]):
                 return None
-            row.append(None if not r else h / r)
-        rho.append(row)
-    base = rho[0][0]
-    if base is None:
+            if R[a][b]:
+                rho[a, b] = H[a][b] / R[a][b]
+    left, right = [None] * n, [None] * n
+    for root in range(n):
+        if right[root] is not None:
+            continue
+        right[root], grew = one, True
+        while grew:
+            grew = False
+            for (a, b), v in rho.items():
+                if left[a] is None and right[b] is not None:
+                    left[a], grew = v / right[b], True
+                elif right[b] is None and left[a] is not None:
+                    right[b], grew = v / left[a], True
+    left = [x or one for x in left]
+    if any(left[a] * right[b] != v for (a, b), v in rho.items()):
         return None
-    for a in range(n):
-        for b in range(n):
-            if rho[a][b] is None:
-                continue
-            if rho[a][b] * base != rho[a][0] * rho[0][b]:
-                return None
-    left = [rho[a][0] for a in range(n)]
-    right = [rho[0][b] / base for b in range(n)]
     return left, right
 
 
@@ -512,6 +506,7 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
     ``draw_mass_data`` keeps lam and the masses off the poles of the
     shifted R and off the zeros that would make the comparison vacuous;
     a singular mass side raises ArithmeticError, as does a pole of R.
+    ``sqrt_mus`` is not read (ROADMAP item 5).
     """
     N = len(mvec)
     M = sum(mvec)
@@ -531,10 +526,9 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
 
     lam2 = spow(ctx.q, -1) * lam
     mus2 = [spow(ctx.q, -mvec[a]) * mus[a] for a in range(N)]
-    smus2 = [spow(ctx.sqrt_q, -mvec[a]) * sqrt_mus[a] for a in range(N)]
-    R, _ = closed_matrix(N, M, lam2, mus2, smus2, ctx)
+    R, _ = closed_matrix(N, M, lam2, mus2, None, ctx)
     transform = {"lam_shift": -1, "mu_shifts": [-m for m in mvec]}
-    got = _rank_one_diagonals(H, R)
+    got = _rank_one_diagonals(H, R, ctx.field.one)
     if got is None:
         return GaugeMatchReport(False, None, None, None,
                                 "no constant diagonal gauge at the shift "

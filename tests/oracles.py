@@ -18,7 +18,7 @@ from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
 from qlaumon.qfun import poch, single_bracket
 from qlaumon.rmatrix import norm_factor, phi_kernel, phi_kernel_masslike
 from qlaumon.scalars import Jet, spow
-from qlaumon.series import MultiSeries, add_term
+from qlaumon.series import MultiSeries, add_term, exponent_vectors
 
 
 # -- q-functions (qfun) --------------------------------------------------------
@@ -217,6 +217,58 @@ def b1_specialized(ivec, jvec, lam, mus, M, ctx):
         out = out * ctx.qq(i)
     return out * phi_kernel_masslike(ivec[:-1], jvec[:-1], mus[:-1],
                                      lam_masses, M, ctx)
+
+
+def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
+    """Closed form of the connection matrix entry via the kernel bilinear
+    sum.  Half-integer exponents enter only through sqrt_mus and sqrt_q."""
+    N = len(ivec)
+    f = ctx.field
+    ibar = ivec[:-1]
+    jbar = jvec[:-1]
+
+    # prefactor of the bilinear kernel sum:
+    # q^{(<c,j> - <j,j> - <i,c> + <i,i>)/2}.  Its pure q-power
+    # q^{(<i,i> - <j,j>)/2} cancels the inverse one of the scalar
+    # prefactor below, so neither is applied; the mass part remains.
+    pref = f.one
+    suf = sum(jvec)
+    for a in range(N):
+        suf -= jvec[a]
+        pref = pref * spow(sqrt_mus[a], -suf)
+    acc = 0
+    for b in range(N):
+        if b:
+            acc += ivec[b - 1]
+            pref = pref * spow(sqrt_mus[b], acc)
+
+    mu_full = lam
+    for m in mus:
+        mu_full = mu_full * m
+
+    kernel_sum = f.zero
+    for kv in exponent_vectors((0,) * (N - 1), jbar):
+        t = phi_kernel(kv, jbar, 1 / lam, spow(ctx.q, -M), ctx)
+        if not t:
+            continue
+        t = t * phi_kernel_masslike(ibar, kv, mus[:-1], mu_full, M, ctx)
+        kernel_sum = kernel_sum + t
+
+    # scalar prefactor carrying the half-powers of the masses
+    cpre = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2)
+    for a in range(N):
+        cpre = cpre * spow(sqrt_mus[a], -M + 2 * ivec[a] - jvec[a])
+    acc = 0
+    for b in range(N):
+        if b:
+            acc += jvec[b - 1] - ivec[b - 1]
+            cpre = cpre * spow(sqrt_mus[b], -acc)
+
+    out = cpre * poch(mu_full, ctx.q, M) \
+        / poch(lam * spow(ctx.q, -M + 1), ctx.q, M)
+    for i, j in zip(ivec, jvec):
+        out = out * ctx.qq(i) / ctx.qq(j)
+    return out * pref * kernel_sum
 
 
 # -- first-order expansions of q-ratios (fourd) --------------------------------

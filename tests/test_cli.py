@@ -134,6 +134,23 @@ def test_rmatrix_failed_identity_is_a_failed_check(monkeypatch):
     assert "matrix" not in doc
 
 
+def test_rmatrix_closed_form_fails_on_a_wrong_kernel(monkeypatch):
+    # one value of the confluent kernel, A[ibar][k] of the closed form,
+    # scaled by 2: the closed form no longer equals the connection solve
+    import qlaumon.rmatrix as rm
+    kernel = rm.phi_kernel_masslike
+
+    def one_wrong(ibar, kvec, *args):
+        v = kernel(ibar, kvec, *args)
+        return v * 2 if (ibar, kvec) == ((2, 0), (0, 0)) else v
+
+    monkeypatch.setattr(rm, "phi_kernel_masslike", one_wrong)
+    code, status, _ = check_status(
+        ["rmatrix", "--n", "3", "--m-total", "2", "--mode", "prime"],
+        "closed-form-equals-connection")
+    assert (code, status) == (1, "fail")
+
+
 def test_rmatrix_degenerate_gauge_exits_two(monkeypatch, capsys):
     # a pole in the gauge match's shifted closed form is a degenerate draw:
     # exit 2 with a message, as for the connection solve.  The gauge reads

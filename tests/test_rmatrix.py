@@ -7,7 +7,8 @@ import pytest
 
 from qlaumon.params import rand_square, sample_params
 from qlaumon.qfun import QContext, poch
-from qlaumon.rmatrix import (b2_inverse_entry, b2_triangular_zeros,
+from qlaumon.rmatrix import (_rank_one_diagonals, b2_inverse_entry,
+                             b2_triangular_zeros,
                              base_polynomial, check_transition, closed_matrix,
                              composition_to_support, compositions,
                              connection_matrix, draw_mass_data,
@@ -17,10 +18,10 @@ from qlaumon.rmatrix import (b2_inverse_entry, b2_triangular_zeros,
                              support_polyhedron_vertices, support_size_formula,
                              support_to_composition, truncated_equation_matrix,
                              weight_shells)
-from qlaumon.scalars import spow
+from qlaumon.scalars import PRIME_FIELD, spow
 from qlaumon.series import exponent_vectors
 
-from oracles import b1_specialized, b2_specialized
+from oracles import b1_specialized, b2_specialized, closed_entry
 
 
 def ctx_and_rng(seed, N, mode="rational"):
@@ -255,6 +256,47 @@ def test_closed_equals_connection_with_residuals():
         assert rc == rx
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_closed_matrix_equals_entrywise_oracle(mode):
+    # the product D_row A B D_col against the per-entry kernel sum, whose
+    # mass half-powers are read from sqrt_mus
+    grid = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1),
+            (4, 2)] + ([(4, 3)] if mode == "prime" else [])
+    for N, M in grid:
+        for seed in range(1, 6):
+            _, ctx, (mus, sqrt_mus, lam) = cli_mass_draw(seed, N, M, mode)
+            R, idx = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
+            assert idx == compositions(N, M)
+            assert R == [[closed_entry(i, j, lam, mus, sqrt_mus, M, ctx)
+                          for j in idx] for i in idx], (N, M, seed)
+
+
+def test_closed_matrix_pinned():
+    # sha1 of (indices, matrix) at the rmatrix command's seed-1 draws
+    pins = {
+        (2, 3, "rational"): "17454d4b10c1080cb430647dedb6c128a92a4d86",
+        (2, 3, "prime"): "b1572e2a4d180e7f35b69c463c9747ace93ef90e",
+        (3, 2, "rational"): "d9d8eae6e27774437db43c6df6a69f1252fbf7c9",
+        (3, 2, "prime"): "5f902defc965928dfd7f6012955b8d40e2b9e7aa",
+        (4, 2, "rational"): "203664ea917f2cd1fe73947cd99017164490733b",
+        (4, 2, "prime"): "fbcfaf3065334b9556bf2fd21aa70abd65362630",
+    }
+    for (N, M, mode), pin in pins.items():
+        _, ctx, (mus, sqrt_mus, lam) = cli_mass_draw(1, N, M, mode)
+        R, idx = closed_matrix(N, M, lam, mus, sqrt_mus, ctx)
+        assert hashlib.sha1(repr((idx, R)).encode()).hexdigest() == pin, \
+            (N, M, mode)
+
+
+def test_closed_matrix_raises_at_its_pole():
+    # lam = q^{M-1} zeroes (lam q^{1-M}; q)_M, the denominator of C0
+    for mode in ("rational", "prime"):
+        for N, M in ((2, 2), (3, 2), (2, 3)):
+            _, ctx, (mus, sqrt_mus, _) = cli_mass_draw(1, N, M, mode)
+            with pytest.raises(ZeroDivisionError):
+                closed_matrix(N, M, spow(ctx.q, M - 1), mus, sqrt_mus, ctx)
+
+
 def test_triangular_zero_pattern_of_value_matrix():
     ps, ctx, rng = ctx_and_rng(47, 3)
     lam = rand_square(rng, ps.field)[1]
@@ -353,6 +395,24 @@ def test_gauge_match_rejects_one_scaled_entry(monkeypatch):
             rep = gauge_match_to_hamiltonian((2, 0), mus, sqrt_mus, lam, ctx)
         assert not rep.found, mode
         assert rep.left is None and rep.right is None
+
+
+@pytest.mark.parametrize("field", [Fraction, PRIME_FIELD.of])
+def test_rank_one_diagonals_off_the_first_entry(field):
+    # supports with a zero in row 0 or column 0: K = L = 1 matches both
+    one = field(1)
+    for rows in ([[1, 1], [0, 1]], [[0, 1], [1, 1]]):
+        H = [[field(x) for x in row] for row in rows]
+        assert _rank_one_diagonals(H, H, one) == ([one, one], [one, one])
+    # a rank-one ratio on a support whose graph has two components
+    H = [[field(2), field(0)], [field(0), field(3)]]
+    R = [[field(1), field(0)], [field(0), field(1)]]
+    left, right = _rank_one_diagonals(H, R, one)
+    assert right == [one, one] and left == [field(2), field(3)]
+    # a ratio of rank two on a connected support
+    H = [[field(1), field(1)], [field(1), field(2)]]
+    R = [[field(1), field(1)], [field(1), field(1)]]
+    assert _rank_one_diagonals(H, R, one) is None
 
 
 def test_truncated_equation_matrix_pinned():
