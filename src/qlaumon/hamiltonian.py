@@ -28,7 +28,7 @@ from .qfun import QContext
 from .rmatrix import mat_eye, mat_mul, terminated_side
 from .scalars import spow
 from .series import (compose, diagonal_op, eq_of_monomial,
-                     eq_product_normal_op, letter_op,
+                     eq_product_normal_op, first_disagreements, letter_op,
                      mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
                      op_qexp, op_qexp_big, ops_agree_on_monomials,
                      phi_of_monomial, phi_product_normal_op, qborel_op,
@@ -351,13 +351,13 @@ def check_form_equivalence(N, degree, seed=1, mode="rational"):
     for form in ("simple", "higher", "normal"):
         spec = HamiltonianSpec(ps, form, degree)
         blocks[form] = (left_block(spec), right_block(spec))
+    others = ("higher", "normal")
     for side, name in ((0, "left"), (1, "right")):
-        for other in ("higher", "normal"):
-            where = ops_agree_on_monomials(blocks["simple"][side],
-                                           blocks[other][side],
-                                           N, degree, degree, ps.field)
-            if where is not None:
-                bad.append((name, "simple-vs-" + other, where))
+        wheres = first_disagreements(blocks["simple"][side],
+                                     [blocks[o][side] for o in others],
+                                     N, degree, degree, ps.field)
+        bad += [(name, "simple-vs-" + o, where)
+                for o, where in zip(others, wheres) if where is not None]
     return bad
 
 
@@ -415,35 +415,34 @@ def check_dynkin_family(N, degree, seed=1, mode="rational"):
     chains and the upper-word chains all act identically (N >= 3): the
     block family is invariant under the index rotation and under the
     order-reversing reflection, which maps the lower family at i to the
-    upper family at -i."""
+    upper family at -i.  Each is compared with the conjugated one at 0."""
     if N < 3:
         return []
     ps = sample_params(seed, N, mode)
     spec = HamiltonianSpec(ps, "simple", degree)
     sc = _hat_scales(spec)
-    bad = []
-    ref = _family_conjugated(spec, 0, sc)
-    for i in range(N):
-        for tag, op in (("conjugated", _family_conjugated(spec, i, sc)),
-                        ("lower", _family_lower_words(spec, i, sc)),
-                        ("upper", _family_upper_words(spec, i, sc))):
-            where = ops_agree_on_monomials(ref, op, N, degree, degree, ps.field)
-            if where is not None:
-                bad.append((tag, i, where))
-    return bad
+    members = [(tag, i, build) for i in range(N)
+               for tag, build in (("conjugated", _family_conjugated),
+                                  ("lower", _family_lower_words),
+                                  ("upper", _family_upper_words))
+               if (tag, i) != ("conjugated", 0)]
+    wheres = first_disagreements(
+        _family_conjugated(spec, 0, sc),
+        [build(spec, i, sc) for _, i, build in members],
+        N, degree, degree, ps.field)
+    return [(tag, i, where) for (tag, i, _), where in zip(members, wheres)
+            if where is not None]
 
 
 def check_borel_moved_triple(N, degree, seed=1, mode="rational"):
     """The three moved-Borel expressions agree on monomials <= degree."""
     ps = sample_params(seed, N, mode)
-    e0 = moved_borel_expression(ps, degree, 0)
-    bad = []
-    for which in (1, 2):
-        ew = moved_borel_expression(ps, degree, which)
-        where = ops_agree_on_monomials(e0, ew, N, degree, degree, ps.field)
-        if where is not None:
-            bad.append((which, where))
-    return bad
+    wheres = first_disagreements(
+        moved_borel_expression(ps, degree, 0),
+        [moved_borel_expression(ps, degree, which) for which in (1, 2)],
+        N, degree, degree, ps.field)
+    return [(which, where) for which, where in zip((1, 2), wheres)
+            if where is not None]
 
 
 # -- mass truncation -----------------------------------------------------------

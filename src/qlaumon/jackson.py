@@ -11,8 +11,8 @@ the plain Vandermonde.  The family is indexed by the compositions
 binomial(N+M-1, M); the rank computation checks that expectation at desk
 scale.
 
-The antisymmetrizer is the plain signed sum over all M! permutations
-(M <= 5 here): correctness over speed.
+The antisymmetrizer is the signed sum over all M! permutations (M <= 5
+here), read from tables that every r shares, built once per point set.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class CocycleSpec:
         self.N = N
         self.M = M
         self.a = list(a_params)
+        self.a_inv = [1 / a for a in self.a]
         self.b = list(b_params)
         self.q = q
         self.field = field
@@ -53,7 +54,7 @@ def cocycle_factor(spec, ell, z):
     f = spec.field
     out = f.one
     for k in range(ell + 1, spec.N):      # paper's a_{l+2}..a_N, 0-based a[k]
-        out = out * (f.one - z / spec.a[k])
+        out = out * (f.one - z * spec.a_inv[k])
     for k in range(ell):                  # paper's b_1..b_l, 0-based b[k]
         out = out * (f.one - spec.b[k] * z)
     return out
@@ -69,38 +70,50 @@ def _vandermonde(zs, field, shift=None):
     return out
 
 
-def cocycle_eval(spec, rvec, zs):
-    """The symmetrized cocycle function at a tuple of distinct points:
+def cocycle_matrix(spec, rvecs, point_sets):
+    """The symmetrized cocycle function of each composition r in rvecs
+    (one row each) at each tuple zs of distinct points (one column each):
 
         prod_k 1/[r_k]! * Vand(z)^{-1} *
         sum over permutations of sgn * prod blocks f_l * q-Vandermonde,
 
     where the first r_0 slots take f_0, the next r_1 take f_1, and so on,
     [r]! = prod_{j<=r} (1 - q^{-j})/(1 - q^{-1}), with q taken from the
-    parameter object.
+    parameter object.  The factors f_l(z_i), the signed q-Vandermonde of
+    each permutation and the plain Vandermonde are computed once per zs,
+    the blocks and the normalization once per r.
     """
     f = spec.field
     M = spec.M
-    if len(zs) != M:
-        raise ValueError("need %d points" % M)
-    if sum(rvec) != M or len(rvec) != spec.N:
+    if any(sum(r) != M or len(r) != spec.N for r in rvecs):
         raise ValueError("bad block sizes")
-    for i in range(M):
-        for j in range(i + 1, M):
-            if zs[i] == zs[j]:
-                raise ValueError("evaluation points must be distinct")
     qinv = 1 / spec.q
-    blocks, norm = _blocks_and_norm(spec, rvec)
-    total = f.zero
-    for perm in permutations(range(M)):
-        sgn = _perm_sign(perm)
-        term = f.one
-        pz = [zs[p] for p in perm]
-        for slot, ell in enumerate(blocks):
-            term = term * cocycle_factor(spec, ell, pz[slot])
-        term = term * _vandermonde(pz, f, qinv)
-        total = total + (term if sgn > 0 else -term)
-    return total / (_vandermonde(zs, f) * norm)
+    blocks_and_norms = [_blocks_and_norm(spec, r) for r in rvecs]
+    rows = [[] for _ in rvecs]
+    for zs in point_sets:
+        if len(zs) != M:
+            raise ValueError("need %d points" % M)
+        if len(set(zs)) != M:
+            raise ValueError("evaluation points must be distinct")
+        factors = [[cocycle_factor(spec, ell, z) for z in zs]
+                   for ell in range(spec.N)]
+        signed = [(perm, _perm_sign(perm)
+                   * _vandermonde([zs[p] for p in perm], f, qinv))
+                  for perm in permutations(range(M))]
+        vand = _vandermonde(zs, f)
+        for row, (blocks, norm) in zip(rows, blocks_and_norms):
+            total = f.zero
+            for perm, term in signed:
+                for slot, ell in enumerate(blocks):
+                    term = term * factors[ell][perm[slot]]
+                total = total + term
+            row.append(total / (vand * norm))
+    return rows
+
+
+def cocycle_eval(spec, rvec, zs):
+    """``cocycle_matrix`` at the one composition rvec and point set zs."""
+    return cocycle_matrix(spec, [rvec], [zs])[0][0]
 
 
 def _blocks_and_norm(spec, rvec):
@@ -118,27 +131,15 @@ def _blocks_and_norm(spec, rvec):
 
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1, by the parity of the number of inversions of perm."""
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
 
 
 def cocycle_rank(spec, point_sets):
     """Rank of the family {phi_r} evaluated at the supplied generic point
     configurations (one row per r, one column per configuration)."""
     rvecs = compositions(spec.N, spec.M)
-    rows = [[cocycle_eval(spec, r, zs) for zs in point_sets] for r in rvecs]
+    rows = cocycle_matrix(spec, rvecs, point_sets)
     return len(row_reduce(rows)[1]), len(rvecs)
 
 

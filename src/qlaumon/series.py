@@ -451,24 +451,30 @@ def probe_series(N, degree, cap, field):
                         for exp in all_monomials(N, degree)})
 
 
+def first_disagreements(ref, ops, N, degree, cap, field):
+    """For each op in ops, the first basis monomial (degree <= degree)
+    where it differs from ref, or None if the two agree up to the cap.
+
+    Freivalds' check: ref is applied once per check, and each op once, to
+    ``probe_series``.  If ref - op is nonzero on some basis monomial, some
+    coefficient of its image of the probe is a nonzero linear form in the
+    weights, and weights drawn uniformly from a set of 2^61 - 2 values
+    zero it with probability at most 1/(2^61 - 2) (Schwartz-Zippel at
+    degree 1).  The bound holds in GF(p) and over Q alike; in GF(p) it
+    comes on top of the (total degree)/p bound of checking an identity mod
+    p at all.  Only for an op whose image differs are the monomials
+    applied one at a time, so the offender reported is the first in
+    lexicographic order."""
+    probe = probe_series(N, degree, cap, field)
+    image = ref(probe)
+    return [None if op(probe) == image else next(
+        (exp for exp in all_monomials(N, degree)
+         if ref(m := MultiSeries.monomial(N, cap, field, exp)) != op(m)),
+        None) for op in ops]
+
+
 def ops_agree_on_monomials(op_a, op_b, N, degree, cap, field):
     """First basis monomial (degree <= degree) where the operators differ,
-    or None if they agree up to the cap.
-
-    Freivalds' check: each operator is applied once, to ``probe_series``.
-    If op_a - op_b is nonzero on some basis monomial, some coefficient of
-    its image of the probe is a nonzero linear form in the weights, and
-    weights drawn uniformly from a set of 2^61 - 2 values zero it with
-    probability at most 1/(2^61 - 2) (Schwartz-Zippel at degree 1).  The
-    bound holds in GF(p) and over Q alike; in GF(p) it comes on top of
-    the (total degree)/p bound of checking an identity mod p at all.
-    Only when the images differ are the monomials applied one at a time,
-    so the offender reported is the first in lexicographic order."""
-    probe = probe_series(N, degree, cap, field)
-    if op_a(probe) == op_b(probe):
-        return None
-    for exp in all_monomials(N, degree):
-        m = MultiSeries.monomial(N, cap, field, exp)
-        if op_a(m) != op_b(m):
-            return exp
-    return None
+    or None if they agree up to the cap: ``first_disagreements`` with one
+    op, so each operator is applied once to the probe."""
+    return first_disagreements(op_a, [op_b], N, degree, cap, field)[0]

@@ -10,9 +10,12 @@ demo or the benchmark runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 from qlaumon.fourd import JET_Q
+from qlaumon.jackson import (_blocks_and_norm, _perm_sign, _vandermonde,
+                             cocycle_factor)
 from qlaumon.nekrasov import _box_keys
 from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
 from qlaumon.qfun import poch, single_bracket
@@ -269,6 +272,38 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
     for i, j in zip(ivec, jvec):
         out = out * ctx.qq(i) / ctx.qq(j)
     return out * pref * kernel_sum
+
+
+# -- symmetrized cocycles (jackson) --------------------------------------------
+
+
+def cocycle_eval_per_permutation(spec, rvec, zs):
+    """The symmetrized cocycle function at a tuple of distinct points, one
+    permutation at a time: every factor f_l(z) and every q-Vandermonde is
+    computed anew for each permutation, with no table shared across
+    compositions (``jackson.cocycle_values`` builds the tables once)."""
+    f = spec.field
+    M = spec.M
+    if len(zs) != M:
+        raise ValueError("need %d points" % M)
+    if sum(rvec) != M or len(rvec) != spec.N:
+        raise ValueError("bad block sizes")
+    for i in range(M):
+        for j in range(i + 1, M):
+            if zs[i] == zs[j]:
+                raise ValueError("evaluation points must be distinct")
+    qinv = 1 / spec.q
+    blocks, norm = _blocks_and_norm(spec, rvec)
+    total = f.zero
+    for perm in permutations(range(M)):
+        sgn = _perm_sign(perm)
+        term = f.one
+        pz = [zs[p] for p in perm]
+        for slot, ell in enumerate(blocks):
+            term = term * cocycle_factor(spec, ell, pz[slot])
+        term = term * _vandermonde(pz, f, qinv)
+        total = total + (term if sgn > 0 else -term)
+    return total / (_vandermonde(zs, f) * norm)
 
 
 # -- first-order expansions of q-ratios (fourd) --------------------------------

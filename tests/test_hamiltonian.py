@@ -21,7 +21,7 @@ from qlaumon.scalars import RATIONAL, spow
 from qlaumon.series import (MultiSeries, eq_of_monomial,
                             ops_agree_on_monomials,
                             phi_of_monomial, sparse_op)
-from test_series import scan_oracle
+from test_series import scan_oracles
 
 
 def test_rank_one_blocks_are_the_four_infinite_products():
@@ -145,15 +145,19 @@ def test_pentagon_and_family_are_empty_below_rank_three(monkeypatch):
     assert check_pentagon(2, 3) == check_dynkin_family(2, 3) == []
 
 
+def _spiked(op, field, target):
+    """op, changed by 5 x^target on x^target only."""
+    c = field.of(5)
+    return op + sparse_op(lambda nu, budget: (((0,) * len(nu), c),)
+                          if nu == target else ())
+
+
 def _broken(build, broken_at, target):
     """build, with the member at index broken_at changed on x^target only."""
     def member(spec, i, sc):
         op = build(spec, i, sc)
-        if i != broken_at:
-            return op
-        c = spec.params.field.of(5)
-        return op + sparse_op(lambda nu, budget: (((0,) * len(nu), c),)
-                              if nu == target else ())
+        return (_spiked(op, spec.params.field, target) if i == broken_at
+                else op)
     return member
 
 
@@ -167,10 +171,72 @@ def test_dynkin_family_failures_match_the_scan(monkeypatch, mode):
         monkeypatch.setattr(hamiltonian, name,
                             _broken(getattr(hamiltonian, name), i, target))
     bad = check_dynkin_family(3, 2, 4, mode)
-    monkeypatch.setattr(hamiltonian, "ops_agree_on_monomials", scan_oracle)
+    monkeypatch.setattr(hamiltonian, "first_disagreements", scan_oracles)
     assert check_dynkin_family(3, 2, 4, mode) == bad
     assert bad == [("upper", 0, (0, 0, 0)), ("lower", 1, (0, 1, 1)),
                    ("conjugated", 2, (1, 0, 1))]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_dynkin_family_reports_every_member_against_a_broken_reference(
+        monkeypatch, mode):
+    """With the conjugated expression at 0 (the reference) broken, each of
+    the other 3N - 1 members is reported at the broken monomial, and the
+    reference is built once: it is not compared with a second build of
+    itself."""
+    N, target = 3, (0, 1, 0)
+    built = []
+    broken = _broken(hamiltonian._family_conjugated, 0, target)
+
+    def conjugated(spec, i, sc):
+        built.append(i)
+        return broken(spec, i, sc)
+
+    monkeypatch.setattr(hamiltonian, "_family_conjugated", conjugated)
+    bad = check_dynkin_family(N, 2, 4, mode)
+    assert bad == [(tag, i, target) for i in range(N)
+                   for tag in ("conjugated", "lower", "upper")
+                   if (tag, i) != ("conjugated", 0)]
+    assert len(bad) == 3 * N - 1
+    assert built == list(range(N))
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_form_equivalence_failures_match_the_scan(monkeypatch, mode):
+    """A left block broken in one form and a right block in another are
+    reported as the per-monomial scan reports them."""
+    for name, form, target in (("left_block", "normal", (1, 1)),
+                               ("right_block", "higher", (0, 2))):
+        def block(spec, build=getattr(hamiltonian, name), form=form,
+                  target=target):
+            op = build(spec)
+            return (_spiked(op, spec.params.field, target)
+                    if spec.form == form else op)
+        monkeypatch.setattr(hamiltonian, name, block)
+    bad = check_form_equivalence(2, 2, 3, mode)
+    monkeypatch.setattr(hamiltonian, "first_disagreements", scan_oracles)
+    assert check_form_equivalence(2, 2, 3, mode) == bad
+    assert bad == [("left", "simple-vs-normal", (1, 1)),
+                   ("right", "simple-vs-higher", (0, 2))]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_moved_borel_failures_match_the_scan(monkeypatch, mode):
+    """Both moved expressions broken, each on its own monomial: reported
+    as the per-monomial scan reports them."""
+    targets = {1: (0, 1, 1), 2: (2, 0, 0)}
+    moved = hamiltonian.moved_borel_expression
+
+    def broken(ps, cap, which, scales=None):
+        op = moved(ps, cap, which, scales)
+        return (_spiked(op, ps.field, targets[which]) if which in targets
+                else op)
+
+    monkeypatch.setattr(hamiltonian, "moved_borel_expression", broken)
+    bad = check_borel_moved_triple(3, 2, 4, mode)
+    monkeypatch.setattr(hamiltonian, "first_disagreements", scan_oracles)
+    assert check_borel_moved_triple(3, 2, 4, mode) == bad
+    assert bad == [(1, (0, 1, 1)), (2, (2, 0, 0))]
 
 
 def test_moved_borel_triple():

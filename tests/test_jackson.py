@@ -4,14 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from qlaumon import jackson
 from qlaumon.jackson import (CocycleSpec, cocycle_eval, cocycle_factor,
-                             cocycle_poly, cocycle_rank, expected_rank)
+                             cocycle_matrix, cocycle_poly, cocycle_rank,
+                             expected_rank)
 from qlaumon.params import sample_params
 from qlaumon.rmatrix import compositions
 
+from oracles import cocycle_eval_per_permutation
 
-def mkspec(N, M, seed, mvec=None):
-    ps = sample_params(seed, N)
+MODES = ["rational", "prime"]
+
+
+def mkspec(N, M, seed, mvec=None, mode="rational"):
+    ps = sample_params(seed, N, mode)
     m = mvec if mvec is not None else tuple([M] + [0] * (N - 1))
     return CocycleSpec.from_params(ps, m)
 
@@ -100,3 +106,65 @@ def test_rank_uses_generic_truncation_vector_too():
     cfgs = [rand_points(2, rng) for _ in range(expected_rank(3, 2))]
     rank, _ = cocycle_rank(spec, cfgs)
     assert rank == expected_rank(3, 2)
+
+
+def field_points(spec, count, rng):
+    """count configurations of spec.M distinct points, in the spec's field."""
+    return [[spec.field.of(z) for z in rand_points(spec.M, rng)]
+            for _ in range(count)]
+
+
+def oracle_matrix(spec, point_sets):
+    return [[cocycle_eval_per_permutation(spec, r, zs) for zs in point_sets]
+            for r in compositions(spec.N, spec.M)]
+
+
+TABLE_CASES = [(N, M, None) for N, M in ((2, 1), (2, 2), (2, 3), (3, 1),
+                                         (3, 2), (3, 3), (4, 2))]
+TABLE_CASES.append((3, 2, (1, 1, 0)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("N,M,mvec", TABLE_CASES)
+def test_table_matches_the_per_permutation_oracle(N, M, mvec, mode):
+    """Every entry of the table routine, on seeds 1-5, equals the
+    per-permutation evaluation."""
+    rng = random.Random(("table", N, M, mvec, mode).__repr__())
+    for seed in range(1, 6):
+        spec = mkspec(N, M, seed, mvec, mode)
+        cfgs = field_points(spec, 3, rng)
+        rvecs = compositions(N, M)
+        assert cocycle_matrix(spec, rvecs, cfgs) == oracle_matrix(spec, cfgs)
+        assert [cocycle_eval(spec, r, cfgs[0]) for r in rvecs] == \
+            [cocycle_eval_per_permutation(spec, r, cfgs[0]) for r in rvecs]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("N,M,mvec", [(2, 2, None), (3, 2, None),
+                                      (3, 2, (1, 1, 0)), (2, 3, None)])
+def test_rank_reduces_the_oracle_matrix(monkeypatch, N, M, mvec, mode):
+    """The rows cocycle_rank passes to row_reduce are the oracle's matrix:
+    the rank alone would agree on any generic values."""
+    seen = []
+    reduce = jackson.row_reduce
+
+    def captured(rows):
+        seen.append(rows)
+        return reduce(rows)
+
+    monkeypatch.setattr(jackson, "row_reduce", captured)
+    spec = mkspec(N, M, 20 + N + M, mvec, mode)
+    cfgs = field_points(spec, expected_rank(N, M), random.Random(N * M))
+    rank, family = cocycle_rank(spec, cfgs)
+    assert seen == [oracle_matrix(spec, cfgs)]
+    assert (rank, family) == (expected_rank(N, M), len(compositions(N, M)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rank_rejects_repeated_points_and_counts_the_empty_set(mode):
+    spec = mkspec(2, 2, 8, mode=mode)
+    half = spec.field.of(Fraction(1, 2))
+    cfgs = [[half, spec.field.of(3)], [half, half]]
+    with pytest.raises(ValueError):
+        cocycle_rank(spec, cfgs)
+    assert cocycle_rank(mkspec(3, 0, 8, mode=mode), [[]]) == (1, 1)

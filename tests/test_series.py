@@ -9,7 +9,8 @@ from qlaumon.qfun import QContext
 from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL, spow
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
                             diagonal_op, eq_of_monomial, eq_product_normal_op,
-                            exp_series, identity_op, mul_op,
+                            exp_series, first_disagreements, identity_op,
+                            mul_op,
                             neumann_inverse_op, normal_ordered_op, op_qexp,
                             op_qexp_big, ops_agree_on_monomials,
                             phi_of_monomial, phi_product_normal_op,
@@ -401,6 +402,11 @@ def scan_oracle(op_a, op_b, N, degree, cap, field):
     return None
 
 
+def scan_oracles(ref, ops, N, degree, cap, field):
+    """The list form of ``scan_oracle``: one scan of ref against each op."""
+    return [scan_oracle(ref, op, N, degree, cap, field) for op in ops]
+
+
 def spike_op(target, c):
     """x^target -> c x^target, every other basis monomial -> 0."""
     target = tuple(target)
@@ -426,11 +432,17 @@ def test_probe_finds_a_difference_on_one_monomial(mode, c, N, degree, cap):
     """Every basis monomial in turn, from degree 0 to the top degree, is
     the only one where the pair differs; the report is that monomial."""
     field, ref = reference_op(mode, N)
-    for target in all_monomials(N, degree):
-        op = ref + spike_op(target, c)
+    ops = [ref + spike_op(target, c) for target in all_monomials(N, degree)]
+    for target, op in zip(all_monomials(N, degree), ops):
         assert scan_oracle(ref, op, N, degree, cap, field) == target
         assert ops_agree_on_monomials(ref, op, N, degree, cap, field) == target
         assert ops_agree_on_monomials(op, ref, N, degree, cap, field) == target
+    # one reference image for all of them, and the reference itself agrees
+    ops.append(compose([identity_op(), ref]))
+    got = first_disagreements(ref, ops, N, degree, cap, field)
+    assert got == [ops_agree_on_monomials(ref, op, N, degree, cap, field)
+                   for op in ops]
+    assert got[-1] is None
 
 
 @pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
@@ -438,6 +450,7 @@ def test_probe_reports_the_scans_first_offender(mode, c):
     rng = random.Random(4)
     field, ref = reference_op(mode, 3)
     monomials = all_monomials(3, 3)
+    ops = []
     for _ in range(6):
         op = ref
         for target in rng.sample(monomials, rng.randrange(2, 5)):
@@ -445,6 +458,10 @@ def test_probe_reports_the_scans_first_offender(mode, c):
         want = scan_oracle(ref, op, 3, 3, 4, field)
         assert want is not None
         assert ops_agree_on_monomials(ref, op, 3, 3, 4, field) == want
+        ops.append(op)
+    assert (first_disagreements(ref, ops, 3, 3, 4, field)
+            == [ops_agree_on_monomials(ref, op, 3, 3, 4, field) for op in ops]
+            == scan_oracles(ref, ops, 3, 3, 4, field))
 
 
 @pytest.mark.parametrize("mode,c", SPIKES, ids=[m for m, _ in SPIKES])
@@ -503,3 +520,18 @@ def test_applying_an_op_leaves_the_probe_unchanged(mode):
     assert probe.terms == before.terms == probe_series(3, 2, 3, field).terms
     assert first == second
     assert sorted(probe.terms) == all_monomials(3, 2)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_reference_runs_once_when_every_op_agrees(mode):
+    field, ref = reference_op(mode, 3)
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return ref(s)
+
+    ops = [ref, compose([identity_op(), ref]), ref + identity_op().scale(0)]
+    assert first_disagreements(counted, ops, 3, 2, 3, field) == [None] * 3
+    assert len(calls) == 1
+    assert calls[0].terms == probe_series(3, 2, 3, field).terms
