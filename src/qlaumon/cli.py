@@ -203,7 +203,7 @@ def cmd_rmatrix(args):
         [{"weight": list(c), "pairs": len(v)} for c, v in shells.items()],
         key=lambda e: e["weight"])
     # the constant-diagonal gauge is established at rank two; beyond that
-    # the match is an experimental report, so not-found is not a failure
+    # it is computed only at M = 0, and the detail records why not
     rep.add("gauge-match", gauge.found, gauge.as_dict(),
             skipped=(not gauge.found and N > 2))
     if args.emit_matrix and rc is not None:

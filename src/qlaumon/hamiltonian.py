@@ -16,8 +16,10 @@ L and R each admit a simple-root factorization (chain of single letters
 with a conjugation twist on the wrap-around letter), a higher-root
 factorization (chain over increasing words) and a normal-ordered form;
 the three act identically, which ``check_form_equivalence`` verifies on
-the monomial basis.  At N = 1 every form degenerates to multiplication
-by the same pair of infinite products.
+the monomial basis.  Each chain is one list of (word, "e" | "phi"),
+which ``_chain`` turns into an operator; L is R's chain read backwards.
+At N = 1 the lists are empty and every form degenerates to
+multiplication by the same pair of infinite products.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .series import (compose, diagonal_op, eq_of_monomial,
                      mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
                      op_qexp, op_qexp_big, ops_agree_on_monomials,
                      phi_of_monomial, phi_product_normal_op, qborel_op,
-                     shift_scaling_op, word_op)
+                     shift_scaling_op, twisted_letter_op)
 
 FORMS = ("simple", "higher", "normal", "gl2-symmetric", "borel-moved")
 # The form used when none is named: "higher" applies H to the solution
@@ -59,25 +61,59 @@ class HamiltonianSpec:
 
 def _hat_scales(spec):
     ps = spec.params
-    return {i: ps.d(i) * ps.dbar(i) for i in range(spec.N)}
+    return [ps.d(i) * ps.dbar(i) for i in range(spec.N)]
 
 
-def _chk_scales(spec):
-    return {i: spec.params.field.one for i in range(spec.N)}
+def _conjugated_words(i, N):
+    """e(-v_{i+1})..e(-v_{i+N-1}) phi(-v_{i+N-2})..phi(-v_{i+1}) e(-v_i)
+    e(-v_{i+1})..e(-v_{i+N-2}): the simple-root chain, its wrap-around
+    letter v_i conjugated by e(-v_{i+1})..e(-v_{i+N-2})."""
+    return ([((j,), "e") for j in range(i + 1, i + N)]
+            + [((j,), "phi") for j in range(i + N - 2, i, -1)]
+            + [((j,), "e") for j in range(i, i + N - 1)])
 
 
-def _eq_w(spec, indices, direction, scales):
-    """e_q(-word) for the letter word given by 0-based indices."""
-    ctx = spec.ctx
-    w, deg = word_op(indices, direction, scales, ctx, spec.N)
-    return op_qexp(w, deg, -spec.params.field.one, ctx, spec.cap)
+def _lower_words(i, N):
+    """e(-v_{i+1})..e(-v_{i+N-1}) e(-v_{i+N-2}..v_i) .. e(-v_{i+1}v_i) e(-v_i)."""
+    return ([((j,), "e") for j in range(i + 1, i + N)]
+            + [(tuple(range(j, i - 1, -1)), "e")
+               for j in range(i + N - 2, i - 1, -1)])
 
 
-def _phi_w(spec, indices, direction, scales):
-    """phi(-word) = e_q(-word)^{-1}."""
-    ctx = spec.ctx
-    w, deg = word_op(indices, direction, scales, ctx, spec.N)
-    return op_qexp_big(w, deg, spec.params.field.one, ctx, spec.cap)
+def _upper_words(i, N):
+    """e(-v_{i+N}) e(-v_{i+N}v_{i+N-1}) .. e(-v_{i+N}..v_{i+2})
+    e(-v_{i+1}) .. e(-v_{i+N-1})."""
+    return ([(tuple(range(i + N, j - 1, -1)), "e")
+             for j in range(i + N, i + 1, -1)]
+            + [((j,), "e") for j in range(i + 1, i + N)])
+
+
+def _chain(spec, words, letter):
+    """The product, in list order, of e_q(-W) for each (word, "e") and of
+    phi(-W) = e_q(-W)^{-1} for each (word, "phi"), with W the product of
+    letter(j) over the word (its rightmost letter acting first)."""
+    one = spec.params.field.one
+    ops = []
+    for word, kind in words:
+        qexp, sign = (op_qexp, -one) if kind == "e" else (op_qexp_big, one)
+        ops.append(qexp(compose([letter(j) for j in word]), len(word), sign,
+                        spec.ctx, spec.cap))
+    return compose(ops)
+
+
+def _twisted(spec, direction, scales):
+    """j -> the twisted letter at position j, scaled by scales[j mod N]."""
+    N = spec.N
+    return lambda j: twisted_letter_op(j, direction, scales[j % N], spec.ctx, N)
+
+
+def _block_words(spec):
+    """The chain of R at i = 0 for the simple or higher form."""
+    if spec.form == "simple":
+        return _conjugated_words(0, spec.N)
+    if spec.form == "higher":
+        return _lower_words(0, spec.N)
+    raise ValueError("the %s form has no L, C, R blocks" % spec.form)
 
 
 def lambda_block(spec, outer=False):
@@ -108,46 +144,25 @@ def center_block(spec):
 
 def left_block(spec):
     N = spec.N
-    if N == 1:
-        return lambda_block(spec)
-    sc = _chk_scales(spec)
+    sc = [spec.params.field.one] * N
     if spec.form == "normal":
         # the wrap-around phi(Lambda) is implicit in the normal-ordered
         # product, exactly as phi(q^{1-N} D_N Lambda) is on the right
-        inv = eq_product_normal_op([sc[i] for i in range(N)], -1, spec.ctx,
-                                   N, spec.cap)
+        inv = eq_product_normal_op(sc, -1, spec.ctx, N, spec.cap)
         return neumann_inverse_op(inv, spec.cap)
-    if spec.form == "higher":
-        ops = [_eq_w(spec, list(range(0, j + 1)), -1, sc) for j in range(N - 1)]
-        ops += [_eq_w(spec, [j], -1, sc) for j in range(N - 1, 0, -1)]
-        return compose(ops + [lambda_block(spec)])
-    # simple-root: twist the wrap-around factor by G = phi(-v_1)...phi(-v_{N-2})
-    g = [_phi_w(spec, [j], -1, sc) for j in range(1, N - 1)]
-    g_inv = [_eq_w(spec, [j], -1, sc) for j in range(N - 2, 0, -1)]
-    ops = g_inv + [_eq_w(spec, [0], -1, sc)] + g
-    ops += [_eq_w(spec, [j], -1, sc) for j in range(N - 1, 0, -1)]
-    return compose(ops + [lambda_block(spec)])
+    # R's chain read backwards, each word reversed
+    words = [(word[::-1], kind) for word, kind in reversed(_block_words(spec))]
+    return compose([_chain(spec, words, _twisted(spec, -1, sc)),
+                    lambda_block(spec)])
 
 
 def right_block(spec):
     N = spec.N
-    if N == 1:
-        return lambda_block(spec, outer=True)
     sc = _hat_scales(spec)
     if spec.form == "normal":
-        return phi_product_normal_op([sc[i] for i in range(N)], +1, spec.ctx,
-                                     N, spec.cap)
-    if spec.form == "higher":
-        ops = [lambda_block(spec, outer=True)]
-        ops += [_eq_w(spec, [j], +1, sc) for j in range(1, N)]
-        ops += [_eq_w(spec, list(range(j, -1, -1)), +1, sc) for j in range(N - 2, -1, -1)]
-        return compose(ops)
-    g = [_phi_w(spec, [j], +1, sc) for j in range(N - 2, 0, -1)]
-    g_inv = [_eq_w(spec, [j], +1, sc) for j in range(1, N - 1)]
-    ops = [lambda_block(spec, outer=True)]
-    ops += [_eq_w(spec, [j], +1, sc) for j in range(1, N)]
-    ops += g + [_eq_w(spec, [0], +1, sc)] + g_inv
-    return compose(ops)
+        return phi_product_normal_op(sc, +1, spec.ctx, N, spec.cap)
+    return compose([lambda_block(spec, outer=True),
+                    _chain(spec, _block_words(spec), _twisted(spec, +1, sc))])
 
 
 def borel_block(spec):
@@ -161,7 +176,8 @@ def shift_block(spec):
 
 
 def build_blocks(spec):
-    """(left, center, right, borel, shift) for the chosen form."""
+    """(left, center, right, borel, shift) for the simple, higher or
+    normal form; the other two forms have no such blocks (ValueError)."""
     return (left_block(spec), center_block(spec), right_block(spec),
             borel_block(spec), shift_block(spec))
 
@@ -235,34 +251,22 @@ def moved_borel_expression(ps, cap, which, scales=None):
     N = ps.N
     spec = HamiltonianSpec(ps, "simple", cap)
     ctx = spec.ctx
-    f = ps.field
     if scales is None:
-        scales = {i: f.one for i in range(N)}
+        scales = [ps.field.one] * N
 
     if which == 0:
-        ops = [_eq_w(spec, [j], +1, scales) for j in range(1, N)]
-        ops += [_phi_w(spec, [j], +1, scales) for j in range(N - 2, 0, -1)]
-        ops += [_eq_w(spec, [j], +1, scales) for j in range(0, N - 1)]
-        ops.append(diagonal_op(lambda th: ctx.qpow_half(
-            sum(th[i] * (th[i] - th[i - 1]) for i in range(N)))))
-        return compose(ops)
+        return compose([
+            _chain(spec, _conjugated_words(0, N), _twisted(spec, +1, scales)),
+            diagonal_op(lambda th: ctx.qpow_half(
+                sum(th[i] * (th[i] - th[i - 1]) for i in range(N))))])
 
     if which == 1:
-        def eq_half(j):
-            w = _half_shift_letter(j, scales[j % N], ctx, N)
-            return op_qexp(w, 1, -f.one, ctx, cap)
-
-        def phi_half(j):
-            w = _half_shift_letter(j, scales[j % N], ctx, N)
-            return op_qexp_big(w, 1, f.one, ctx, cap)
-
-        ops = [diagonal_op(lambda th: ctx.qpow_half(
-            sum(th[i] * (th[i] - th[i - 1] - 1) for i in range(N))))]
-        ops += [eq_half(j) for j in range(1, N)]
-        ops += [phi_half(j) for j in range(N - 2, 0, -1)]
-        ops += [eq_half(j) for j in range(0, N - 1)]
-        ops.append(diagonal_op(lambda th: ctx.qpow_half(sum(th))))
-        return compose(ops)
+        return compose([
+            diagonal_op(lambda th: ctx.qpow_half(
+                sum(th[i] * (th[i] - th[i - 1] - 1) for i in range(N)))),
+            _chain(spec, _conjugated_words(0, N),
+                   lambda j: _half_shift_letter(j, scales[j % N], ctx, N)),
+            diagonal_op(lambda th: ctx.qpow_half(sum(th)))])
 
     if which == 2:
         def eq_plain(j):
@@ -368,46 +372,16 @@ def check_pentagon(N, degree, seed=1, mode="rational"):
         return []
     ps = sample_params(seed, N, mode)
     spec = HamiltonianSpec(ps, "simple", degree)
-    sc = _hat_scales(spec)
+    letter = _twisted(spec, +1, _hat_scales(spec))
     bad = []
     for i in range(N):
-        lhs = compose([_eq_w(spec, [i], +1, sc), _eq_w(spec, [i + 1], +1, sc)])
-        rhs = compose([_eq_w(spec, [i + 1], +1, sc),
-                       _eq_w(spec, [i + 1, i], +1, sc),
-                       _eq_w(spec, [i], +1, sc)])
+        lhs = _chain(spec, [((i,), "e"), ((i + 1,), "e")], letter)
+        rhs = _chain(spec, [((i + 1,), "e"), ((i + 1, i), "e"), ((i,), "e")],
+                     letter)
         where = ops_agree_on_monomials(lhs, rhs, N, degree, degree, ps.field)
         if where is not None:
             bad.append((i, where))
     return bad
-
-
-def _family_conjugated(spec, i, sc):
-    """e(-v_{i+1})..e(-v_{i+N-2}) e(-v_{i+N-1}) [inverse chain] e(-v_i)
-    [chain]: the conjugated single-letter expression."""
-    N = spec.N
-    fwd = [_eq_w(spec, [j], +1, sc) for j in range(i + 1, i + N - 1)]
-    inv = [_phi_w(spec, [j], +1, sc) for j in range(i + N - 2, i, -1)]
-    return compose(fwd + [_eq_w(spec, [i + N - 1], +1, sc)] + inv
-                   + [_eq_w(spec, [i], +1, sc)] + fwd)
-
-
-def _family_lower_words(spec, i, sc):
-    """e(-v_{i+1})..e(-v_{i+N-1}) e(-v_{i+N-2}..v_i) .. e(-v_{i+1}v_i) e(-v_i)."""
-    N = spec.N
-    ops = [_eq_w(spec, [j], +1, sc) for j in range(i + 1, i + N)]
-    ops += [_eq_w(spec, list(range(j, i - 1, -1)), +1, sc)
-            for j in range(i + N - 2, i - 1, -1)]
-    return compose(ops)
-
-
-def _family_upper_words(spec, i, sc):
-    """e(-v_{i+N}) e(-v_{i+N}v_{i+N-1}) .. e(-v_{i+N}..v_{i+2})
-    e(-v_{i+1}) .. e(-v_{i+N-1})."""
-    N = spec.N
-    ops = [_eq_w(spec, list(range(i + N, j - 1, -1)), +1, sc)
-           for j in range(i + N, i + 1, -1)]
-    ops += [_eq_w(spec, [j], +1, sc) for j in range(i + 1, i + N)]
-    return compose(ops)
 
 
 def check_dynkin_family(N, degree, seed=1, mode="rational"):
@@ -420,17 +394,16 @@ def check_dynkin_family(N, degree, seed=1, mode="rational"):
         return []
     ps = sample_params(seed, N, mode)
     spec = HamiltonianSpec(ps, "simple", degree)
-    sc = _hat_scales(spec)
-    members = [(tag, i, build) for i in range(N)
-               for tag, build in (("conjugated", _family_conjugated),
-                                  ("lower", _family_lower_words),
-                                  ("upper", _family_upper_words))
+    letter = _twisted(spec, +1, _hat_scales(spec))
+    words = {"conjugated": _conjugated_words, "lower": _lower_words,
+             "upper": _upper_words}
+    members = [(tag, i) for i in range(N) for tag in words
                if (tag, i) != ("conjugated", 0)]
     wheres = first_disagreements(
-        _family_conjugated(spec, 0, sc),
-        [build(spec, i, sc) for _, i, build in members],
+        _chain(spec, _conjugated_words(0, N), letter),
+        [_chain(spec, words[tag](i, N), letter) for tag, i in members],
         N, degree, degree, ps.field)
-    return [(tag, i, where) for (tag, i, _), where in zip(members, wheres)
+    return [(tag, i, where) for (tag, i), where in zip(members, wheres)
             if where is not None]
 
 

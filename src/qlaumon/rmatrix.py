@@ -500,8 +500,8 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
     entrywise ratio H / R has rank one on it, which is exactly the
     existence of such K, L.  Their entries are reported as ``left`` and
     ``right`` (``repr`` of each, normalized so that right[0] = 1); no
-    closed form of them is claimed.  For N >= 3 no constant diagonals have
-    been seen to match, and the report comes back not-found.
+    closed form of them is claimed.  For N >= 3 and M > 0 nothing is
+    computed: the report is not-found, its note the space searched.
 
     ``draw_mass_data`` keeps lam and the masses off the poles of the
     shifted R and off the zeros that would make the comparison vacuous;
@@ -514,6 +514,11 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
         one = [repr(ctx.field.one)]
         return GaugeMatchReport(True, {"lam_shift": 0, "mu_shifts": [0] * N},
                                 one, one, "trivial (single class)")
+    if N >= 3:
+        return GaugeMatchReport(False, note=(
+            "not computed at N >= 3: no constant diagonal gauge matched at "
+            "N = 3 or 4 over every relabeling and mass permutation, q-shifts "
+            "of lam and mu, lam <-> 1/lam, R against R^T and H against H^-1"))
     A, _ = truncated_equation_matrix(mvec, mus, lam, ctx, "mass")
     B, _ = truncated_equation_matrix(mvec, mus, lam, ctx, "plain")
     # H A = B is A^T H^T = B^T: one elimination of [A^T | B^T]

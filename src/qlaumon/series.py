@@ -15,9 +15,10 @@ x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
   * normal-ordered operators: on a monomial x^nu, first evaluate a
     coefficient at the source exponent nu, then multiply by an x-monomial,
   * letters x_i q^{(1/2) w.theta}, among them the twisted letters
-    x_i q^{+-(theta_i - theta_{i-1})}, and words of them.
+    x_i q^{+-(theta_i - theta_{i-1})}.
 
-q-exponentials of words are summed by explicit operator powers.
+q-exponentials of words (compositions of letters) are summed by explicit
+operator powers.
 
 Indices on letters are cyclic mod N (position 0 plays x_1; "i-1" at i=0
 wraps to N-1).
@@ -329,15 +330,6 @@ def twisted_letter_op(i, direction, scale, ctx, N):
     w[i % N] += 2 * direction
     w[(i - 1) % N] -= 2 * direction
     return letter_op(i, w, scale, ctx, N)
-
-
-def word_op(indices, direction, scales, ctx, N):
-    """Operator for the word  v_{i_1} v_{i_2} ... v_{i_k}  of twisted
-    letters (rightmost letter acts first).  ``scales`` maps position
-    (0-based, mod N) to the letter's scalar prefactor."""
-    ops = [twisted_letter_op(i, direction, scales[i % N], ctx, N)
-           for i in indices]
-    return compose(ops), len(indices)
 
 
 def _qexp_op(coeff, word, word_degree, z, ctx, cap):

@@ -11,15 +11,15 @@ from qlaumon.hamiltonian import (HamiltonianSpec, apply_hamiltonian,
                                  check_form_equivalence,
                                  check_mass_truncated_equation, check_pentagon,
                                  cyclic_matrix_factorization_check,
-                                 hamiltonian_op, left_block,
+                                 hamiltonian_op, lambda_block, left_block,
                                  mass_truncated_params, moved_borel_expression,
-                                 verify_conjecture)
+                                 right_block, verify_conjecture)
 from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
 from qlaumon.scalars import RATIONAL, spow
 from qlaumon.series import (MultiSeries, eq_of_monomial,
-                            ops_agree_on_monomials,
+                            first_disagreements, ops_agree_on_monomials,
                             phi_of_monomial, sparse_op)
 from test_series import scan_oracles
 
@@ -152,24 +152,31 @@ def _spiked(op, field, target):
                           if nu == target else ())
 
 
-def _broken(build, broken_at, target):
-    """build, with the member at index broken_at changed on x^target only."""
-    def member(spec, i, sc):
-        op = build(spec, i, sc)
-        return (_spiked(op, spec.params.field, target) if i == broken_at
-                else op)
-    return member
+def _spike_chains(monkeypatch, spikes, built=None):
+    """Patch ``_chain`` so that the chain of each word list in spikes is
+    changed on its target monomial only; each word list that ``_chain``
+    builds is appended to ``built``."""
+    chain = hamiltonian._chain
+
+    def spiked(spec, words, letter):
+        if built is not None:
+            built.append(words)
+        op = chain(spec, words, letter)
+        for spiked_words, target in spikes:
+            if words == spiked_words:
+                return _spiked(op, spec.params.field, target)
+        return op
+    monkeypatch.setattr(hamiltonian, "_chain", spiked)
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
 def test_dynkin_family_failures_match_the_scan(monkeypatch, mode):
     """With three family members broken, the probe check reports the same
     (tag, i, where) triples as the per-monomial scan."""
-    for name, i, target in (("_family_conjugated", 2, (1, 0, 1)),
-                            ("_family_lower_words", 1, (0, 1, 1)),
-                            ("_family_upper_words", 0, (0, 0, 0))):
-        monkeypatch.setattr(hamiltonian, name,
-                            _broken(getattr(hamiltonian, name), i, target))
+    _spike_chains(monkeypatch, [
+        (hamiltonian._conjugated_words(2, 3), (1, 0, 1)),
+        (hamiltonian._lower_words(1, 3), (0, 1, 1)),
+        (hamiltonian._upper_words(0, 3), (0, 0, 0))])
     bad = check_dynkin_family(3, 2, 4, mode)
     monkeypatch.setattr(hamiltonian, "first_disagreements", scan_oracles)
     assert check_dynkin_family(3, 2, 4, mode) == bad
@@ -185,20 +192,57 @@ def test_dynkin_family_reports_every_member_against_a_broken_reference(
     reference is built once: it is not compared with a second build of
     itself."""
     N, target = 3, (0, 1, 0)
+    conjugated = [hamiltonian._conjugated_words(i, N) for i in range(N)]
     built = []
-    broken = _broken(hamiltonian._family_conjugated, 0, target)
-
-    def conjugated(spec, i, sc):
-        built.append(i)
-        return broken(spec, i, sc)
-
-    monkeypatch.setattr(hamiltonian, "_family_conjugated", conjugated)
+    _spike_chains(monkeypatch, [(conjugated[0], target)], built)
     bad = check_dynkin_family(N, 2, 4, mode)
     assert bad == [(tag, i, target) for i in range(N)
                    for tag in ("conjugated", "lower", "upper")
                    if (tag, i) != ("conjugated", 0)]
     assert len(bad) == 3 * N - 1
-    assert built == list(range(N))
+    assert [conjugated.index(w) for w in built if w in conjugated] == \
+        list(range(N))
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_twist_read_as_e_breaks_both_outer_blocks(monkeypatch, mode):
+    """Negative control: the phi twist of the simple-root chain read as e.
+    L reads R's word list backwards, so the simple form's L and R both
+    differ from the normal-ordered ones; the block family and the
+    moved-Borel expressions read the same list and fail as well."""
+    conjugated = hamiltonian._conjugated_words
+
+    def untwisted(i, N):
+        words = conjugated(i, N)
+        k = [kind for _, kind in words].index("phi")
+        return words[:k] + [(words[k][0], "e")] + words[k + 1:]
+
+    monkeypatch.setattr(hamiltonian, "_conjugated_words", untwisted)
+    pairs = {(side, pair) for side, pair, _ in
+             check_form_equivalence(3, 2, 1, mode)}
+    assert {("left", "simple-vs-normal"), ("right", "simple-vs-normal")} <= pairs
+    assert check_dynkin_family(3, 2, 1, mode)
+    assert check_borel_moved_triple(3, 2, 1, mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_rank_one_outer_blocks_are_the_lambda_blocks(mode):
+    # at N = 1 the word lists are empty, so in every form L is phi(Lambda)
+    # and R is phi(q^{1-N} D_N Lambda)
+    ps = sample_params(3, 1, mode)
+    for form in ("simple", "higher", "normal"):
+        spec = HamiltonianSpec(ps, form, 6)
+        for block, outer in ((left_block, False), (right_block, True)):
+            assert first_disagreements(lambda_block(spec, outer),
+                                       [block(spec)], 1, 6, 6,
+                                       ps.field) == [None], (form, outer)
+
+
+@pytest.mark.parametrize("form, N", [("gl2-symmetric", 2), ("borel-moved", 3)])
+def test_build_blocks_rejects_the_forms_without_blocks(form, N):
+    spec = HamiltonianSpec(sample_params(7, N), form, 3)
+    with pytest.raises(ValueError, match=form):
+        build_blocks(spec)
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])

@@ -327,17 +327,26 @@ def test_gauge_match_found_for_rank_two():
         assert rep.right[0] == repr(ps.field.one), mvec
 
 
-def test_gauge_match_trivial_and_higher_rank_report():
+def test_gauge_match_trivial_and_higher_rank_report(monkeypatch):
+    import qlaumon.rmatrix as rm
     ps, ctx, rng = ctx_and_rng(99, 3)
     mus, sqrt_mus = draw_masses(rng, ps.field, 3)
     lam = rand_square(rng, ps.field)[1]
     rep0 = gauge_match_to_hamiltonian((0, 0, 0), mus, sqrt_mus, lam, ctx)
     assert rep0.found and rep0.note.startswith("trivial")
+
+    def no_matrix(*args):
+        raise AssertionError("built a matrix for the gauge match at N = 3")
+
+    # constant diagonals do not cover the rank-three relation: the report
+    # says so, with the space searched, and builds no matrix
+    monkeypatch.setattr(rm, "truncated_equation_matrix", no_matrix)
+    monkeypatch.setattr(rm, "closed_matrix", no_matrix)
     rep3 = gauge_match_to_hamiltonian((1, 0, 0), mus, sqrt_mus, lam, ctx)
-    # constant diagonals do not cover the rank-three relation; the report
-    # must say so rather than fabricate a match
     assert not rep3.found
-    assert "tried" in rep3.note
+    assert rep3.left is rep3.right is rep3.transform is None
+    assert rep3.note.startswith("not computed at N >= 3")
+    assert "relabeling and mass permutation" in rep3.note
 
 
 def cli_mass_draw(seed, N, M, mode):

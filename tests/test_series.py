@@ -15,7 +15,7 @@ from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic
                             op_qexp_big, ops_agree_on_monomials,
                             phi_of_monomial, phi_product_normal_op,
                             probe_series, qborel_op, shift_scaling_op,
-                            sparse_op, twisted_letter_op, word_op)
+                            sparse_op, twisted_letter_op)
 
 from oracles import series_inverse
 
@@ -184,11 +184,15 @@ def test_central_words():
         ps = sample_params(5, N)
         ctx = QContext(ps.sqrt_q, ps.field)
         scales = {i: ps.d(i) * ps.dbar(i) for i in range(N)}
-        up, _ = word_op(list(range(N)), +1, scales, ctx, N)
-        down, _ = word_op(list(range(N - 1, -1, -1)), +1, scales, ctx, N)
         ones = {i: ps.field.one for i in range(N)}
-        chk_up, _ = word_op(list(range(N)), -1, ones, ctx, N)
-        chk_down, _ = word_op(list(range(N - 1, -1, -1)), -1, ones, ctx, N)
+
+        def word(indices, direction, sc):
+            return compose([twisted_letter_op(i, direction, sc[i], ctx, N)
+                            for i in indices])
+        up = word(range(N), +1, scales)
+        down = word(range(N - 1, -1, -1), +1, scales)
+        chk_up = word(range(N), -1, ones)
+        chk_down = word(range(N - 1, -1, -1), -1, ones)
         for th in all_monomials(N, 2):
             s = MultiSeries.monomial(N, N + 2, ps.field, th)
             lam_exp = tuple(t + 1 for t in th)
@@ -219,9 +223,9 @@ def test_qexp_inverse_pair():
     ps = sample_params(1, 2)
     ctx = QContext(ps.sqrt_q, ps.field)
     scales = {i: ps.d(i) * ps.dbar(i) for i in range(2)}
-    w, deg = word_op([0], +1, scales, ctx, 2)
-    e = op_qexp(w, deg, -ps.field.one, ctx, 5)
-    phi = op_qexp_big(w, deg, ps.field.one, ctx, 5)
+    w = twisted_letter_op(0, +1, scales[0], ctx, 2)
+    e = op_qexp(w, 1, -ps.field.one, ctx, 5)
+    phi = op_qexp_big(w, 1, ps.field.one, ctx, 5)
     for th in all_monomials(2, 2):
         s = MultiSeries.monomial(2, 5, ps.field, th)
         assert phi(e(s)) == s
