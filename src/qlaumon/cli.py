@@ -29,7 +29,8 @@ from .jackson import (CocycleSpec, check_vandermonde_division, cocycle_rank,
                       expected_rank)
 from .nekrasov import (LaumonParams, check_inversion_symmetry,
                        check_poch_sinh_relation, gl1_closed_partition,
-                       laumon_partition_function, nek_context)
+                       gl1_closed_solution, laumon_partition_function,
+                       nek_context, solution_series)
 from .params import sample_params, rand_square
 from .qfun import QContext
 from .rmatrix import (ConnectionCheckFailed, b2_triangular_zeros,
@@ -39,7 +40,7 @@ from .rmatrix import (ConnectionCheckFailed, b2_triangular_zeros,
                       support_polyhedron_vertices, support_size_formula,
                       support_to_composition, weight_shells)
 from .scalars import FIELDS, PRIME, PrimeScalar
-from .series import ops_agree_on_monomials
+from .series import exponent_vectors, ops_agree_on_monomials
 
 SCHEMA = "qlaumon-report/1"
 
@@ -165,6 +166,10 @@ def cmd_verify(args):
         {"degree": d, "bad_coefficients": n} for d, n in result.per_degree]
     rep.add("eigenfunction", result.ok,
             None if result.ok else {"first_offender": list(result.first_offender)})
+    if args.n == 1:
+        rep.add("matches-rank-one-closed-form",
+                solution_series(ps, args.degree)
+                == gl1_closed_solution(ps, args.degree))
     return rep
 
 
@@ -282,12 +287,18 @@ def _suite_combinatorics(rep, args):
                          % args.m)
     if min(mvec) < 0:
         raise UsageError("--m needs nonnegative integers, got %r" % args.m)
+    # S(m) is the set of points of the box [-M, M]^{N-1} with
+    # theta_1 <= m_1, theta_i - theta_{i-1} <= m_i and -theta_{N-1} <= m_N;
+    # it has as many points as I_M, and the bijection with I_M round-trips
     ok = True
     for N in range(1, 5):
         for M in range(0, 5):
+            box = exponent_vectors((-M,) * (N - 1), (M,) * (N - 1))
             for m in compositions(N, M):
                 S = s_of_m(m)
-                if len(S) != support_size_formula(N, M):
+                inside = {th for th in box if all(
+                    b - a <= mi for a, b, mi in zip((0,) + th, th + (0,), m))}
+                if len(S) != support_size_formula(N, M) or set(S) != inside:
                     ok = False
                 for s in S:
                     if s != composition_to_support(support_to_composition(s, m), m):

@@ -173,16 +173,8 @@ def fst_check(ap, cap):
     result at degree d reads the series only through degree d, so on the
     true parameters it vanishes through the full cap."""
     psi = laumon_4d(ap, cap)
-    res = annihilator_op(ap, cap)(psi)
-    by_degree = res.degrees()
-    first_bad = None
-    for d in range(cap + 1):
-        if by_degree.get(d):
-            first_bad = d
-            break
-    ok_through = cap if first_bad is None else first_bad - 1
-    return ok_through, (None if first_bad is None
-                        else min(k for k, _ in by_degree[first_bad]))
+    where = annihilator_op(ap, cap)(psi).first_offender()
+    return (cap if where is None else sum(where) - 1), where
 
 
 # -- pointwise operator identity -----------------------------------------------

@@ -28,7 +28,6 @@ from .nekrasov import solution_series
 from .params import sample_params
 from .qfun import QContext
 from .rmatrix import mat_eye, mat_mul, terminated_side
-from .scalars import spow
 from .series import (compose, diagonal_op, eq_of_monomial,
                      eq_product_normal_op, first_disagreements, letter_op,
                      mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
@@ -123,7 +122,7 @@ def lambda_block(spec, outer=False):
     ctx = spec.ctx
     pref = ps.field.one
     if outer:
-        pref = spow(ps.q, 1 - spec.N) * ps.mass_product()
+        pref = ps.q ** (1 - spec.N) * ps.mass_product()
     return mul_op(phi_of_monomial(ctx, spec.N, spec.cap, pref, (1,) * spec.N))
 
 
@@ -319,9 +318,9 @@ def _borel_moved_op(spec):
 class DefectReport:
     """Per-degree defect summary of an eigenfunction check."""
 
-    def __init__(self):
-        self.per_degree = []   # (degree, number of bad coefficients)
-        self.first_offender = None
+    def __init__(self, per_degree, first_offender):
+        self.per_degree = per_degree   # (degree, number of bad coefficients)
+        self.first_offender = first_offender
 
     @property
     def ok(self):
@@ -336,14 +335,9 @@ def verify_conjecture(N, cap, seed=1, mode="rational", form=DEFAULT_FORM,
     spec = HamiltonianSpec(ps, form, cap)
     psi = solution_series(ps, cap)
     defect = hamiltonian_op(spec)(psi) - psi
-    report = DefectReport()
     by_degree = defect.degrees()
-    for d in range(cap + 1):
-        bad = by_degree.get(d, [])
-        report.per_degree.append((d, len(bad)))
-        if bad and report.first_offender is None:
-            report.first_offender = min(k for k, _ in bad)
-    return report
+    return DefectReport([(d, len(by_degree.get(d, ()))) for d in range(cap + 1)],
+                        defect.first_offender())
 
 
 def check_form_equivalence(N, degree, seed=1, mode="rational"):
@@ -423,7 +417,7 @@ def check_borel_moved_triple(N, degree, seed=1, mode="rational"):
 
 def mass_truncated_params(ps, mvec):
     """Replace dbar_i by q^{-m_i} (square roots included)."""
-    return ps.with_dbar([spow(ps.sqrt_q, -m) for m in mvec])
+    return ps.with_dbar([ps.sqrt_q ** -m for m in mvec])
 
 
 def check_mass_truncated_equation(N, mvec, cap, seed=1, mode="rational"):

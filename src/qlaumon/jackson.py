@@ -21,7 +21,6 @@ from itertools import permutations
 from math import comb
 
 from .rmatrix import compositions, row_reduce
-from .scalars import spow
 from .series import MultiSeries
 
 
@@ -43,9 +42,9 @@ class CocycleSpec:
         truncation vector: a_k = b_k^{-1} q^{1-m_k} kappa^{k-1},
         b_k = b_k d_k^{-1} kappa^{1-k}."""
         N = ps.N
-        a = [spow(ps.q, 1 - mvec[k]) * spow(ps.kappa, k) / ps.b(k)
+        a = [ps.q ** (1 - mvec[k]) * ps.kappa ** k / ps.b(k)
              for k in range(N)]
-        b = [ps.b(k) / ps.d(k) * spow(ps.kappa, -k) for k in range(N)]
+        b = [ps.b(k) / ps.d(k) * ps.kappa ** -k for k in range(N)]
         return CocycleSpec(N, sum(mvec), a, b, ps.q, ps.field)
 
 
@@ -126,7 +125,7 @@ def _blocks_and_norm(spec, rvec):
     for ell, r in enumerate(rvec):
         blocks.extend([ell] * r)
         for j in range(1, r + 1):
-            norm = norm * (f.one - spow(qinv, j)) / (f.one - qinv)
+            norm = norm * (f.one - qinv ** j) / (f.one - qinv)
     return blocks, norm
 
 
@@ -204,7 +203,7 @@ def check_vandermonde_division(spec, zs):
         value = spec.field.zero
         for k, c in poly.items():
             for z, e in zip(zs, k):
-                c = c * spow(z, e)
+                c = c * z ** e
             value = value + c
         if value != cocycle_eval(spec, r, zs):
             bad.append((r, "value"))

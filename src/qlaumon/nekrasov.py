@@ -47,7 +47,6 @@ from operator import truediv
 from .partitions import (colored_counts, conjugate, enumerate_tuples, part,
                          partitions_up_to)
 from .qfun import QContext, single_bracket
-from .scalars import spow
 from .series import (MultiSeries, compose, delta_quadratic, eq_of_monomial,
                      exp_series, mul_op, phi_product_normal_op,
                      shift_scaling_op)
@@ -191,7 +190,7 @@ def nek_sinh_box(k, N, lam, mu, sqrt_u, nc):
     out = nc.field.one
     for a, f in _box_keys(k, N, lam, mu):
         out = out * single_bracket(
-            sqrt_u * spow(nc.sqrt_q, a) * spow(nc.sqrt_kappa, f))
+            sqrt_u * nc.sqrt_q ** a * nc.sqrt_kappa ** f)
     return out
 
 
@@ -200,7 +199,7 @@ def nek_poch_box(k, N, lam, mu, u, nc):
     over the keys of ``_box_keys``."""
     out = nc.field.one
     for a, f in _box_keys(k, N, lam, mu):
-        out = out * (nc.field.one - u * spow(nc.q, a) * spow(nc.kappa, f))
+        out = out * (nc.field.one - u * nc.q ** a * nc.kappa ** f)
     return out
 
 
@@ -525,8 +524,8 @@ def gl1_closed_solution(ps, cap):
     f = ps.field
     s = MultiSeries.zero(1, cap, f)
     for n in range(1, cap + 1):
-        num = (f.one - spow(ps.d(0), n)) * (f.one - spow(ps.dbar(0), n))
-        den = (f.one - spow(ps.q, n)) * (f.one - spow(ps.kappa, n))
+        num = (f.one - ps.d(0) ** n) * (f.one - ps.dbar(0) ** n)
+        den = (f.one - ps.q ** n) * (f.one - ps.kappa ** n)
         s.terms[(n,)] = -num / den / n
     return exp_series(s)
 
@@ -539,8 +538,8 @@ def gl1_closed_partition(sqrt_a, sqrt_b, sqrt_c, nc, cap):
     rb = sqrt_b / sqrt_c
     ra = sqrt_a / (nc.sqrt_q * nc.sqrt_kappa * sqrt_b)
     for n in range(1, cap + 1):
-        num = single_bracket(spow(rb, n)) * single_bracket(spow(ra, n))
-        den = single_bracket(spow(nc.sqrt_q, n)) * single_bracket(spow(nc.sqrt_kappa, n))
+        num = single_bracket(rb ** n) * single_bracket(ra ** n)
+        den = single_bracket(nc.sqrt_q ** n) * single_bracket(nc.sqrt_kappa ** n)
         s.terms[(n,)] = num / den / n
     return exp_series(s)
 
@@ -562,7 +561,7 @@ def poch_vs_sinh_prefactor(lp, kvec, pure=False):
         else:
             r = lp.sqrt_a[(p + 1) % N] * lp.sqrt_b[p] \
                 / (lp.sqrt_b[(p + 1) % N] * lp.sqrt_c[p])
-        out = out * spow(r, kvec[p])
+        out = out * r ** kvec[p]
     return out
 
 
@@ -614,10 +613,7 @@ def _inversion_side(lp, cap):
 
 def check_inversion_symmetry(lp, cap):
     """Both sides of the inversion symmetry (parameters vs inverted
-    parameters); returns the first differing exponent or None."""
-    lhs = _inversion_side(lp, cap)
-    rhs = _inversion_side(lp.inverted(), cap)
-    diff = lhs - rhs
-    if diff.is_zero():
-        return None
-    return min(diff.terms)
+    parameters); returns the first differing exponent
+    (``MultiSeries.first_offender``) or None."""
+    return (_inversion_side(lp, cap)
+            - _inversion_side(lp.inverted(), cap)).first_offender()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import FIELDS, PRIME, PrimeScalar, spow
+from .scalars import FIELDS, PRIME, PrimeScalar
 
 # Exponent window for the lattice-avoidance checks; generous for every
 # degree cap used at desk scale (caps <= 8, index offsets <= N+cap).
@@ -160,7 +160,7 @@ def _generic_enough(ps, bound):
     # unordered pair, b_i/b_j q^{-a} against the kappa^c, |c| <= bound
     narrow = set(kpow[:bound + 1]) | set(kneg[:bound + 1])
     inv_q = 1 / q
-    qshift = [spow(q, bound)]
+    qshift = [q ** bound]
     for _ in range(2 * bound):
         qshift.append(qshift[-1] * inv_q)
     for i in range(ps.N):

@@ -10,8 +10,6 @@ isolation; all half-integer q-exponents are integer exponents of sqrt_q.
 
 from __future__ import annotations
 
-from .scalars import spow
-
 
 class QContext:
     """Base q with its square root, plus small caches of (q;q)_n and of
@@ -28,7 +26,7 @@ class QContext:
         """(q;q)_n for n >= 0."""
         while len(self._qq) <= n:
             k = len(self._qq)
-            self._qq.append(self._qq[-1] * (self.field.one - spow(self.q, k)))
+            self._qq.append(self._qq[-1] * (self.field.one - self.q ** k))
         return self._qq[n]
 
     def qpow_half(self, twice_exponent):
@@ -39,7 +37,7 @@ class QContext:
             if twice_exponent < -1:
                 v = self.qpow_half(-1) ** -twice_exponent
             else:
-                v = spow(self.sqrt_q, twice_exponent)
+                v = self.sqrt_q ** twice_exponent
             self._half[twice_exponent] = v
         return v
 
@@ -59,7 +57,7 @@ def poch(x, q, n):
             out = out * (one - f)
             f = f * q
         return out
-    shifted = x * spow(q, n)
+    shifted = x * q ** n
     denom = poch(shifted, q, -n)
     if not denom:
         raise ZeroDivisionError("zero factor in (x;q)_n with n < 0")
@@ -99,5 +97,5 @@ def qbinom(n, k, ctx):
 def finite_poch_coeffs(a, n, ctx):
     """Coefficients c_0..c_n of (a x; q)_n = sum_k c_k x^k:
     c_k = (-a)^k q^{k(k-1)/2} qbinom(n, k); empty for n < 0."""
-    return [spow(-a, k) * spow(ctx.q, k * (k - 1) // 2) * qbinom(n, k, ctx)
+    return [(-a) ** k * ctx.q ** (k * (k - 1) // 2) * qbinom(n, k, ctx)
             for k in range(n + 1)]

@@ -25,7 +25,6 @@ from math import comb, prod
 
 from .params import rand_square
 from .qfun import finite_poch_coeffs, poch, qbinom
-from .scalars import spow
 from .series import delta_quadratic, exponent_vectors
 
 
@@ -115,8 +114,8 @@ def phi_kernel(gamma, beta, lam, mu, ctx):
         return ctx.field.zero
     sg = sum(gamma)
     sb = sum(beta)
-    out = spow(ctx.q, ordered_pairing([b - g for b, g in zip(beta, gamma)], gamma))
-    out = out * spow(mu / lam, sg)
+    out = ctx.q ** ordered_pairing([b - g for b, g in zip(beta, gamma)], gamma)
+    out = out * (mu / lam) ** sg
     out = out * poch(lam, ctx.q, sg) * poch(mu / lam, ctx.q, sb - sg)
     den = poch(mu, ctx.q, sb)
     out = out / den
@@ -136,7 +135,7 @@ def phi_kernel_masslike(ivec_bar, kvec, mus_bar, mu_full, M, ctx):
     """
     n = len(ivec_bar)
     f = ctx.field
-    qgam = [spow(ctx.q, -ivec_bar[a] - kvec[a]) / mus_bar[a] for a in range(n)]
+    qgam = [ctx.q ** (-ivec_bar[a] - kvec[a]) / mus_bar[a] for a in range(n)]
     q_abs_gamma = f.one
     for g in qgam:
         q_abs_gamma = q_abs_gamma * g
@@ -146,13 +145,13 @@ def phi_kernel_masslike(ivec_bar, kvec, mus_bar, mu_full, M, ctx):
     for b in range(n):
         if b:
             acc += ivec_bar[b - 1]
-            out = out * spow(qgam[b], acc)
+            out = out * qgam[b] ** acc
     # (mu/lam)^{|gamma|} = q^{-M |gamma|}
-    out = out * spow(q_abs_gamma, -M)
+    out = out * q_abs_gamma ** -M
     mu_shift = mu_full * q_abs_gamma
     out = out * poch(mu_shift, ctx.q, M) / poch(mu_full, ctx.q, M)
     si = sum(ivec_bar)
-    out = out * poch(spow(ctx.q, -M), ctx.q, si) / poch(mu_shift, ctx.q, si)
+    out = out * poch(ctx.q ** -M, ctx.q, si) / poch(mu_shift, ctx.q, si)
     for a in range(n):
         out = out * poch(ctx.q * qgam[a], ctx.q, ivec_bar[a]) / ctx.qq(ivec_bar[a])
     return out
@@ -201,10 +200,10 @@ def base_polynomial(kind, ivec, zvals, lam, mus, ctx):
     for a in range(N):
         if kind == 1:
             out = out * poch(mus[a] * zz[a + 1] / zz[a], ctx.q, ivec[a]) \
-                * spow(zz[a], ivec[a])
+                * zz[a] ** ivec[a]
         else:
             out = out * poch(zz[a] / zz[a + 1], ctx.q, ivec[a]) \
-                * spow(zz[a + 1], ivec[a])
+                * zz[a + 1] ** ivec[a]
     return out
 
 
@@ -215,13 +214,13 @@ def reference_point(kvec, ctx):
     acc = 0
     for a in range(1, N):
         acc += kvec[a - 1]
-        out.append(spow(ctx.q, acc))
+        out.append(ctx.q ** acc)
     return out
 
 
 def norm_factor(ivec, lam, M, ctx):
     """(lam^{-1};q)_M lam^M / (q;q)_M * prod (q;q)_{i_a}."""
-    out = poch(1 / lam, ctx.q, M) * spow(lam, M) / ctx.qq(M)
+    out = poch(1 / lam, ctx.q, M) * lam ** M / ctx.qq(M)
     for i in ivec:
         out = out * ctx.qq(i)
     return out
@@ -230,7 +229,7 @@ def norm_factor(ivec, lam, M, ctx):
 def b2_inverse_entry(ivec, jvec, lam, M, ctx):
     """Closed-form inverse of the second-basis value matrix:
     N_j(lam)^{-1} Phi_q(ibar | jbar; lam^{-1}, q^{-M})."""
-    return phi_kernel(ivec[:-1], jvec[:-1], 1 / lam, spow(ctx.q, -M), ctx) \
+    return phi_kernel(ivec[:-1], jvec[:-1], 1 / lam, ctx.q ** -M, ctx) \
         / norm_factor(jvec, lam, M, ctx)
 
 
@@ -293,7 +292,7 @@ def closed_matrix(N, M, lam, mus, sqrt_mus, ctx):
     idx = compositions(N, M)
     bars = [j[:-1] for j in idx]
     lam_inv = 1 / lam
-    q_m = spow(ctx.q, -M)
+    q_m = ctx.q ** -M
     B = [[phi_kernel(k, jbar, lam_inv, q_m, ctx) for jbar in bars]
          for k in bars]
     used = [c for c, row in enumerate(B) if any(row)]
@@ -303,8 +302,8 @@ def closed_matrix(N, M, lam, mus, sqrt_mus, ctx):
     columns = [[(u, B[c][b]) for u, c in enumerate(used) if B[c][b]]
                for b in range(len(idx))]
 
-    c0 = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2) \
-        * poch(mu_full, ctx.q, M) / poch(lam * spow(ctx.q, 1 - M), ctx.q, M)
+    c0 = f.of(-1) ** M * ctx.q ** (M * (1 - M) // 2) \
+        * poch(mu_full, ctx.q, M) / poch(lam * ctx.q ** (1 - M), ctx.q, M)
     mu_inv = [1 / m for m in mus[:-1]]
     d_col = [1 / prod(map(ctx.qq, j)) for j in idx]
     R = []
@@ -383,8 +382,8 @@ def terminated_side(mvec, mus, ctx, side):
         thp = [th[i] - th[i - 1] for i in range(N)]
         delta = delta_quadratic(th)
         borel = ctx.qpow_half(delta if mass else -delta)
-        prefs = [spow(ctx.q, -mvec[i] + thp[i]) * mus[i] if mass
-                 else spow(ctx.q, -mvec[i]) for i in range(N)]
+        prefs = [ctx.q ** (-mvec[i] + thp[i]) * mus[i] if mass
+                 else ctx.q ** (-mvec[i]) for i in range(N)]
         lengths = [mvec[i] - thp[i] for i in range(N)]
         return [(kv, borel * c)
                 for kv, c in finite_poch_product(prefs, lengths, ctx)]
@@ -406,7 +405,7 @@ def truncated_equation_matrix(mvec, mus, lam, ctx, side):
             nt = [t + k for t, k in zip(th, kv)]
             w = nt[-1]
             rep = tuple(t - w for t in nt[:-1])
-            mat[index[rep]][aa] = mat[index[rep]][aa] + c * spow(lam, w)
+            mat[index[rep]][aa] = mat[index[rep]][aa] + c * lam ** w
     return mat, S
 
 
@@ -529,8 +528,8 @@ def gauge_match_to_hamiltonian(mvec, mus, sqrt_mus, lam, ctx):
         raise ArithmeticError("singular mass-side matrix")
     H = [list(col) for col in zip(*(row[n:] for row in rref))]
 
-    lam2 = spow(ctx.q, -1) * lam
-    mus2 = [spow(ctx.q, -mvec[a]) * mus[a] for a in range(N)]
+    lam2 = lam / ctx.q
+    mus2 = [ctx.q ** (-mvec[a]) * mus[a] for a in range(N)]
     R, _ = closed_matrix(N, M, lam2, mus2, None, ctx)
     transform = {"lam_shift": -1, "mu_shifts": [-m for m in mvec]}
     got = _rank_one_diagonals(H, R, ctx.field.one)
@@ -559,7 +558,7 @@ def draw_mass_data(rng, field, ctx, N, M):
     identity."""
     bound = 3 * M + 2
     lattice = set()
-    x = spow(ctx.q, -bound)
+    x = ctx.q ** -bound
     for _ in range(2 * bound + 1):
         lattice.update((x, -x))
         x = x * ctx.q

@@ -353,9 +353,3 @@ PRIME_FIELD = Field("prime")
 
 FIELDS = {"rational": RATIONAL, "prime": PRIME_FIELD}
 
-
-def spow(x, e):
-    """x**e for integer e of either sign (x any scalar)."""
-    if e >= 0:
-        return x ** e
-    return (1 / x) ** (-e)

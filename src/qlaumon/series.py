@@ -17,8 +17,8 @@ x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
   * letters x_i q^{(1/2) w.theta}, among them the twisted letters
     x_i q^{+-(theta_i - theta_{i-1})}.
 
-q-exponentials of words (compositions of letters) are summed by explicit
-operator powers.
+q-exponentials of words (compositions of letters), the Neumann inverse
+and exp are each one ``power_sum_op``: a sum of explicit operator powers.
 
 Indices on letters are cyclic mod N (position 0 plays x_1; "i-1" at i=0
 wraps to N-1).
@@ -31,7 +31,7 @@ from bisect import bisect_right
 from math import factorial
 from operator import add, mul
 
-from .scalars import PRIME, spow
+from .scalars import PRIME
 
 
 class MultiSeries:
@@ -96,7 +96,9 @@ class MultiSeries:
 
     def scale(self, c):
         out = MultiSeries(self.N, self.cap, self.field)
-        if c:
+        if c == 1:
+            out.terms = dict(self.terms)
+        elif c:
             out.terms = {k: c * v for k, v in self.terms.items()}
         return out
 
@@ -121,6 +123,11 @@ class MultiSeries:
             out.setdefault(sum(k), []).append((k, v))
         return out
 
+    def first_offender(self):
+        """The exponent of lowest total degree with a nonzero coefficient,
+        lexicographically first among those; None for the zero series."""
+        return min(self.terms, key=lambda k: (sum(k), k), default=None)
+
     def __repr__(self):
         items = ", ".join("%s: %s" % (k, v) for k, v in sorted(self.terms.items())[:6])
         more = "" if len(self.terms) <= 6 else ", ..."
@@ -142,17 +149,12 @@ def add_term(d, k, v):
 
 
 def exp_series(s):
-    """exp of a series with zero constant term, exact to the cap."""
+    """exp of a series with zero constant term, exact to the cap: the
+    power sum of multiplication by s with coefficients 1/k!, applied to 1."""
     if s.get((0,) * s.N):
         raise ValueError("exp needs zero constant term")
-    out = MultiSeries.one(s.N, s.cap, s.field)
-    term = MultiSeries.one(s.N, s.cap, s.field)
-    for k in range(1, s.cap + 1):
-        term = term * s
-        if term.is_zero():
-            break
-        out = out + term.scale(s.field.one / factorial(k))
-    return out
+    coeffs = [s.field.one / factorial(k) for k in range(1, s.cap + 1)]
+    return power_sum_op(mul_op(s), coeffs)(MultiSeries.one(s.N, s.cap, s.field))
 
 
 # -- q-function series --------------------------------------------------
@@ -160,13 +162,13 @@ def exp_series(s):
 
 def _eq_coeff(ctx, z, n):
     """Coefficient of x^n in e_q(z x): z^n / (q;q)_n."""
-    return spow(z, n) / ctx.qq(n)
+    return z ** n / ctx.qq(n)
 
 
 def _phi_coeff(ctx, z, n):
     """Coefficient of x^n in phi(z x) = 1/e_q(z x):
     q^{n(n-1)/2} (-z)^n / (q;q)_n."""
-    return spow(ctx.q, n * (n - 1) // 2) * spow(-z, n) / ctx.qq(n)
+    return ctx.q ** (n * (n - 1) // 2) * (-z) ** n / ctx.qq(n)
 
 
 def _qexp_of_monomial(coeff, ctx, N, cap, prefactor, xvec):
@@ -272,7 +274,7 @@ def shift_scaling_op(alphas, field):
     def fn(theta):
         out = field.one
         for a, t in zip(alphas, theta):
-            out = out * spow(a, t)
+            out = out * a ** t
         return out
     return diagonal_op(fn)
 
@@ -332,9 +334,9 @@ def twisted_letter_op(i, direction, scale, ctx, N):
     return letter_op(i, w, scale, ctx, N)
 
 
-def _qexp_op(coeff, word, word_degree, z, ctx, cap):
-    coeffs = [coeff(ctx, z, n) for n in range(1, cap // max(word_degree, 1) + 1)]
-
+def power_sum_op(word, coeffs):
+    """The operator  s -> s + sum_n coeffs[n-1] W^n s  for the word W,
+    summed until the first power W^n s that vanishes."""
     def apply(s):
         out = s.copy()
         power = s
@@ -345,6 +347,11 @@ def _qexp_op(coeff, word, word_degree, z, ctx, cap):
             out = out + power.scale(c)
         return out
     return Op(apply)
+
+
+def _qexp_op(coeff, word, word_degree, z, ctx, cap):
+    return power_sum_op(word, [coeff(ctx, z, n) for n in
+                               range(1, cap // max(word_degree, 1) + 1)])
 
 
 def op_qexp(word, word_degree, sign, ctx, cap):
@@ -360,18 +367,9 @@ def op_qexp_big(word, word_degree, sign, ctx, cap):
 
 def neumann_inverse_op(op, cap):
     """Inverse of an operator of the form identity + strictly degree
-    raising, via the truncated Neumann series."""
-    def apply(s):
-        out = s.copy()
-        term = s
-        for _ in range(cap + 1):
-            term = op(term) - term
-            if term.is_zero():
-                break
-            term = -term
-            out = out + term
-        return out
-    return Op(apply)
+    raising, via the truncated Neumann series: the power sum of
+    s -> s - op(s) with unit coefficients."""
+    return power_sum_op(identity_op() - op, [1] * (cap + 1))
 
 
 def _qexp_product_normal_op(coeff, scales, direction, ctx, N, cap):

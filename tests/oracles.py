@@ -20,7 +20,7 @@ from qlaumon.nekrasov import _box_keys
 from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
 from qlaumon.qfun import poch, single_bracket
 from qlaumon.rmatrix import norm_factor, phi_kernel, phi_kernel_masslike
-from qlaumon.scalars import Jet, spow
+from qlaumon.scalars import Jet
 from qlaumon.series import MultiSeries, add_term, exponent_vectors
 
 
@@ -30,11 +30,11 @@ from qlaumon.series import MultiSeries, add_term, exponent_vectors
 def bracket_base(sqrt_u, n, sqrt_base):
     """[u; p]_n for an arbitrary base p given via sqrt_base (e.g. p = kappa^N)."""
     if n < 0:
-        v = bracket_base(sqrt_u * spow(sqrt_base, n), -n, sqrt_base)
+        v = bracket_base(sqrt_u * sqrt_base ** n, -n, sqrt_base)
         return 1 / v
     out = None
     for j in range(n):
-        f = single_bracket(sqrt_u * spow(sqrt_base, j))
+        f = single_bracket(sqrt_u * sqrt_base ** j)
         out = f if out is None else out * f
     if out is None:
         return sqrt_u / sqrt_u  # one, in the right field
@@ -50,9 +50,9 @@ def bracket_ratio_finite(sqrt_u, n, ctx):
     agree with ``qfun.bracket``.
     """
     if n < 0:
-        return 1 / bracket_ratio_finite(sqrt_u * spow(ctx.sqrt_q, n), -n, ctx)
+        return 1 / bracket_ratio_finite(sqrt_u * ctx.sqrt_q ** n, -n, ctx)
     p1 = poch(sqrt_u, ctx.sqrt_q, n)
-    p2 = poch(-spow(ctx.sqrt_q, 1 - n) / sqrt_u, ctx.sqrt_q, n)
+    p2 = poch(-ctx.sqrt_q ** (1 - n) / sqrt_u, ctx.sqrt_q, n)
     return p1 * p2
 
 
@@ -115,14 +115,14 @@ def nek_matter_fund(lam, k, sqrt_u, nc, N):
     product over columns i of [u q^{i-1} kappa^k ; kappa^N]_m with
     m = floor((conj_i + N - 1 - k)/N)."""
     k = k % N
-    sqrt_base = spow(nc.sqrt_kappa, N)
+    sqrt_base = nc.sqrt_kappa ** N
     conj = conjugate(lam)
     out = nc.field.one
     for i, ci in enumerate(conj, start=1):
         m = (ci + N - 1 - k) // N
         if m == 0:
             continue
-        arg = sqrt_u * spow(nc.sqrt_q, i - 1) * spow(nc.sqrt_kappa, k)
+        arg = sqrt_u * nc.sqrt_q ** (i - 1) * nc.sqrt_kappa ** k
         out = out * bracket_base(arg, m, sqrt_base)
     return out
 
@@ -132,14 +132,14 @@ def nek_matter_anti(lam, ell, sqrt_u, nc, N):
     product over columns i of [u q^{-i} kappa^{ell - N m} ; kappa^N]_m
     with m = floor((conj_i + ell)/N)."""
     ell = ell % N
-    sqrt_base = spow(nc.sqrt_kappa, N)
+    sqrt_base = nc.sqrt_kappa ** N
     conj = conjugate(lam)
     out = nc.field.one
     for i, ci in enumerate(conj, start=1):
         m = (ci + ell) // N
         if m == 0:
             continue
-        arg = sqrt_u * spow(nc.sqrt_q, -i) * spow(nc.sqrt_kappa, ell - N * m)
+        arg = sqrt_u * nc.sqrt_q ** -i * nc.sqrt_kappa ** (ell - N * m)
         out = out * bracket_base(arg, m, sqrt_base)
     return out
 
@@ -160,12 +160,12 @@ def infprod_double_ratio(k, N, lam, mu, sqrt_u, nc):
     muc = conjugate(mu)
     wl = len(lamc)
     wm = len(muc)
-    sqrt_t = spow(nc.sqrt_kappa, -N)
+    sqrt_t = nc.sqrt_kappa ** -N
 
     def cell(i, j, F):
         if F == 0:
             return nc.field.one
-        sy_hi = sqrt_u * spow(nc.sqrt_q, j - i) * spow(nc.sqrt_kappa, k % N - N)
+        sy_hi = sqrt_u * nc.sqrt_q ** (j - i) * nc.sqrt_kappa ** (k % N - N)
         sy_lo = sy_hi / nc.sqrt_q
         return bracket_base(sy_lo, F, sqrt_t) / bracket_base(sy_hi, F, sqrt_t)
 
@@ -199,7 +199,7 @@ def b2_specialized(ivec, jvec, lam, M, ctx):
     """Closed form of the second basis at the reference points:
     N_i(lam) Phi_q(ibar | jbar; q^{-M}, lam^{-1})."""
     return norm_factor(ivec, lam, M, ctx) \
-        * phi_kernel(ivec[:-1], jvec[:-1], spow(ctx.q, -M), 1 / lam, ctx)
+        * phi_kernel(ivec[:-1], jvec[:-1], ctx.q ** -M, 1 / lam, ctx)
 
 
 def b1_specialized(ivec, jvec, lam, mus, M, ctx):
@@ -211,7 +211,7 @@ def b1_specialized(ivec, jvec, lam, mus, M, ctx):
     suf = sum(ivec)
     for a in range(N):
         suf -= ivec[a]
-        out = out * spow(mus[a], -suf)
+        out = out * mus[a] ** -suf
     lam_masses = lam
     for m in mus:
         lam_masses = lam_masses * m
@@ -238,12 +238,12 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
     suf = sum(jvec)
     for a in range(N):
         suf -= jvec[a]
-        pref = pref * spow(sqrt_mus[a], -suf)
+        pref = pref * sqrt_mus[a] ** -suf
     acc = 0
     for b in range(N):
         if b:
             acc += ivec[b - 1]
-            pref = pref * spow(sqrt_mus[b], acc)
+            pref = pref * sqrt_mus[b] ** acc
 
     mu_full = lam
     for m in mus:
@@ -251,24 +251,24 @@ def closed_entry(ivec, jvec, lam, mus, sqrt_mus, M, ctx):
 
     kernel_sum = f.zero
     for kv in exponent_vectors((0,) * (N - 1), jbar):
-        t = phi_kernel(kv, jbar, 1 / lam, spow(ctx.q, -M), ctx)
+        t = phi_kernel(kv, jbar, 1 / lam, ctx.q ** -M, ctx)
         if not t:
             continue
         t = t * phi_kernel_masslike(ibar, kv, mus[:-1], mu_full, M, ctx)
         kernel_sum = kernel_sum + t
 
     # scalar prefactor carrying the half-powers of the masses
-    cpre = f.of(-1) ** M * spow(ctx.q, M * (1 - M) // 2)
+    cpre = f.of(-1) ** M * ctx.q ** (M * (1 - M) // 2)
     for a in range(N):
-        cpre = cpre * spow(sqrt_mus[a], -M + 2 * ivec[a] - jvec[a])
+        cpre = cpre * sqrt_mus[a] ** (-M + 2 * ivec[a] - jvec[a])
     acc = 0
     for b in range(N):
         if b:
             acc += jvec[b - 1] - ivec[b - 1]
-            cpre = cpre * spow(sqrt_mus[b], -acc)
+            cpre = cpre * sqrt_mus[b] ** -acc
 
     out = cpre * poch(mu_full, ctx.q, M) \
-        / poch(lam * spow(ctx.q, -M + 1), ctx.q, M)
+        / poch(lam * ctx.q ** (-M + 1), ctx.q, M)
     for i, j in zip(ivec, jvec):
         out = out * ctx.qq(i) / ctx.qq(j)
     return out * pref * kernel_sum

@@ -224,6 +224,8 @@ HOST_CHECKS = {
         ["closed-inverse-and-residuals", "closed-form-equals-connection",
          "triangular-zero-pattern", "gauge-match"],
         ["kernel-transition"]),
+    ("verify", "--n", "1", "--degree", "6"): (
+        ["eigenfunction"], ["matches-rank-one-closed-form"]),
     ("props", "--suite", "combinatorics"): (
         ["support-count-and-bijection", "rank-ten-n3-m3"],
         ["terminated-equation"]),
@@ -363,3 +365,68 @@ def test_annihilation_at_rank_three_fails_on_a_wrong_series(monkeypatch):
     assert checks["annihilation-n2-deg4"]["status"] == "pass"
     assert checks["annihilation-n3-deg4"]["status"] == "fail"
     assert checks["annihilation-n3-deg4"]["detail"] == {"vanishes_through": 0}
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_eigenfunction_fails_on_a_wrong_series(monkeypatch, mode):
+    import qlaumon.hamiltonian as ham
+    solution = ham.solution_series
+
+    def moved(ps, cap):
+        psi = solution(ps, cap)
+        psi.terms[(1, 0)] = psi.get((1, 0)) + 1
+        return psi
+
+    monkeypatch.setattr(ham, "solution_series", moved)
+    code, status, detail = check_status(
+        ["verify", "--n", "2", "--degree", "3", "--mode", mode],
+        "eigenfunction")
+    assert (code, status) == (1, "fail")
+    assert detail == {"first_offender": [1, 0]}
+
+
+def test_rank_one_closed_form_fails_on_a_wrong_series(monkeypatch):
+    import qlaumon.cli as cli
+    closed = cli.gl1_closed_solution
+
+    def moved(ps, cap):
+        psi = closed(ps, cap)
+        psi.terms[(2,)] = psi.get((2,)) + 1
+        return psi
+
+    monkeypatch.setattr(cli, "gl1_closed_solution", moved)
+    for mode in ("rational", "prime"):
+        code, out = run_cli(["verify", "--n", "1", "--degree", "4",
+                             "--mode", mode])
+        status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert code == 1
+        assert status == {"eigenfunction": "pass",
+                          "matches-rank-one-closed-form": "fail"}
+
+
+def test_support_check_fails_on_a_translated_support(monkeypatch):
+    # both maps moved by one in coordinate 0 stay mutually inverse, so the
+    # count and the round trip still hold; the inequalities of S(m) do not
+    import qlaumon.cli as cli
+    import qlaumon.rmatrix as rm
+    to_support = rm.composition_to_support
+    to_composition = rm.support_to_composition
+
+    def moved(v, by):
+        return (v[0] + by,) + v[1:] if v else v
+
+    def moved_support(ivec, mvec):
+        return moved(to_support(ivec, mvec), 1)
+
+    def moved_composition(sigma, mvec):
+        return to_composition(moved(sigma, -1), mvec)
+
+    for module in (rm, cli):
+        monkeypatch.setattr(module, "composition_to_support", moved_support)
+        monkeypatch.setattr(module, "support_to_composition",
+                            moved_composition)
+    assert (2,) in rm.s_of_m((1, 1))
+    code, status, _ = check_status(
+        ["props", "--suite", "combinatorics", "--mode", "prime"],
+        "support-count-and-bijection")
+    assert (code, status) == (1, "fail")

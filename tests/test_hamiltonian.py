@@ -17,7 +17,7 @@ from qlaumon.hamiltonian import (HamiltonianSpec, apply_hamiltonian,
 from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import RATIONAL, spow
+from qlaumon.scalars import RATIONAL
 from qlaumon.series import (MultiSeries, eq_of_monomial,
                             first_disagreements, ops_agree_on_monomials,
                             phi_of_monomial, sparse_op)
@@ -40,7 +40,7 @@ def test_rank_one_blocks_are_the_four_infinite_products():
     assert borel(MultiSeries.monomial(1, 6, f, (3,))) == \
         MultiSeries.monomial(1, 6, f, (3,))  # Delta vanishes at rank one
     assert shift(MultiSeries.monomial(1, 6, f, (2,))).get((2,)) == \
-        spow(ps.kappa, 2)
+        ps.kappa ** 2
 
 
 def test_center_block_first_order_coefficients():
@@ -308,6 +308,24 @@ def test_verify_conjecture_detects_wrong_series():
     assert not (apply_hamiltonian(spec, psi) - psi).is_zero()
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_verify_conjecture_names_the_first_offender(monkeypatch, mode):
+    # psi with the coefficient of x^(1,0) moved by one: H psi - psi is
+    # nonzero from degree 1 on, and the report names x^(1,0)
+    solution = hamiltonian.solution_series
+
+    def moved(ps, cap):
+        psi = solution(ps, cap)
+        psi.terms[(1, 0)] = psi.get((1, 0)) + 1
+        return psi
+
+    monkeypatch.setattr(hamiltonian, "solution_series", moved)
+    report = verify_conjecture(2, 3, mode=mode)
+    assert not report.ok
+    assert report.first_offender == (1, 0)
+    assert report.per_degree[0] == (0, 0) and report.per_degree[1][1] > 0
+
+
 def test_mass_truncation_support_and_equation():
     sup, eq, psi = check_mass_truncated_equation(2, (1, 1), 4)
     assert sup and eq
@@ -324,8 +342,8 @@ def test_mass_truncation_zero_vector_collapses_to_diagonal():
 def test_mass_truncated_params_set_exact_power():
     ps = sample_params(5, 2)
     trunc = mass_truncated_params(ps, (2, 1))
-    assert trunc.dbar(0) == spow(ps.q, -2)
-    assert trunc.dbar(1) == spow(ps.q, -1)
+    assert trunc.dbar(0) == ps.q ** -2
+    assert trunc.dbar(1) == ps.q ** -1
 
 
 def test_cyclic_matrix_factorization():

@@ -19,7 +19,7 @@ from qlaumon.params import rand_square, sample_params
 from qlaumon.partitions import (colored_counts, enumerate_tuples, part,
                                 partitions_up_to)
 from qlaumon.qfun import bracket, single_bracket
-from qlaumon.scalars import FIELDS, spow
+from qlaumon.scalars import FIELDS
 from qlaumon.series import MultiSeries
 
 from oracles import (infprod_double_ratio, instanton_sum, nek_bracket_count,
@@ -80,14 +80,14 @@ def row_form_with_brackets(k, N, lam, mu, sqrt_u, nc):
     for j in range(1, len(lam) + 1):
         n = part(lam, j) - part(lam, j + 1)
         for i in range((j - k - 1) % N + 1, j + 1, N):
-            arg = sqrt_u * spow(nc.sqrt_q, -part(mu, i) + part(lam, j + 1)) \
-                * spow(nc.sqrt_kappa, j - i)
+            arg = sqrt_u * nc.sqrt_q ** (-part(mu, i) + part(lam, j + 1)) \
+                * nc.sqrt_kappa ** (j - i)
             out = out * bracket(arg, n, nc.qctx)
     for beta in range(1, len(mu) + 1):
         n = part(mu, beta) - part(mu, beta + 1)
         for alpha in range((beta + k) % N + 1, beta + 1, N):
-            arg = sqrt_u * spow(nc.sqrt_q, part(lam, alpha) - part(mu, beta)) \
-                * spow(nc.sqrt_kappa, alpha - beta - 1)
+            arg = sqrt_u * nc.sqrt_q ** (part(lam, alpha) - part(mu, beta)) \
+                * nc.sqrt_kappa ** (alpha - beta - 1)
             out = out * bracket(arg, n, nc.qctx)
     return out
 
@@ -363,6 +363,26 @@ def test_inversion_symmetry():
     assert check_inversion_symmetry(lp2, 3) is None
 
 
+def test_inversion_symmetry_names_the_lowest_degree_offender(monkeypatch):
+    # one side spiked at (0, 3) and (1, 0): the offender is the exponent of
+    # lowest total degree, (1, 0), not the lexicographically least (0, 3)
+    import qlaumon.nekrasov as nk
+    side = nk._inversion_side
+    spiked = []
+
+    def spike_first_side(lp, cap):
+        out = side(lp, cap)
+        if not spiked:
+            for k in ((0, 3), (1, 0)):
+                out.terms[k] = out.get(k) + 1
+            spiked.append(lp)
+        return out
+
+    monkeypatch.setattr(nk, "_inversion_side", spike_first_side)
+    lp2, _ = generic_lp(25, 2)
+    assert check_inversion_symmetry(lp2, 3) == (1, 0)
+
+
 def test_pure_weight_is_vector_multiplet_only():
     lp, ps = generic_lp(23, 2)
     w = tuple_weights(lp, "sinh", pure=True)(((1,), ()))
@@ -398,12 +418,12 @@ def test_poch_squared_is_sinh_squared_times_box_arguments():
             args = ps.field.one
             for i, j, cj in _boxes_with_colors(mu):
                 if (cj - i) % N == (-k - 1) % N:
-                    args = args * u * spow(nc.q, part(lam, i) - j) \
-                        * spow(nc.kappa, i - cj - 1)
+                    args = args * u * nc.q ** (part(lam, i) - j) \
+                        * nc.kappa ** (i - cj - 1)
             for i, j, cj in _boxes_with_colors(lam):
                 if (cj - i) % N == k % N:
-                    args = args * u * spow(nc.q, -part(mu, i) + j - 1) \
-                        * spow(nc.kappa, cj - i)
+                    args = args * u * nc.q ** (-part(mu, i) + j - 1) \
+                        * nc.kappa ** (cj - i)
             p = nek_poch_box(k, N, lam, mu, u, nc)
             s = nek_sinh_box(k, N, lam, mu, su, nc)
             assert p * p == s * s * args

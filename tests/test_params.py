@@ -5,7 +5,7 @@ import pytest
 
 from qlaumon.params import (GENERICITY_BOUND, ParamSet, _draw_sqrt,
                             _generic_enough, sample_params)
-from qlaumon.scalars import FIELDS, PRIME, PrimeScalar, spow
+from qlaumon.scalars import FIELDS, PRIME, PrimeScalar
 
 B = GENERICITY_BOUND
 
@@ -13,9 +13,9 @@ B = GENERICITY_BOUND
 def lattice(q, kappa, bound):
     """The finite set {q^a kappa^c : |a|, |c| <= bound}."""
     out = set()
-    qa = spow(q, -bound)
+    qa = q ** -bound
     for _ in range(2 * bound + 1):
-        v = qa * spow(kappa, -bound)
+        v = qa * kappa ** -bound
         for _ in range(2 * bound + 1):
             out.add(v)
             v = v * kappa
@@ -67,7 +67,7 @@ def with_q_kappa(ps, sqrt_q, sqrt_kappa):
 
 def lattice_point(ps, a, c):
     """sqrt of q^a kappa^c."""
-    return spow(ps.sqrt_q, a) * spow(ps.sqrt_kappa, c)
+    return ps.sqrt_q ** a * ps.sqrt_kappa ** c
 
 
 def element_of_order(n, rng):
@@ -97,7 +97,7 @@ def test_generic_enough_matches_lattice_oracle(mode):
             sb[0] = sb[1] * lattice_point(ps, a, c)
             ps = with_b(ps, sb)
         elif roll == 2:
-            ps = with_q_kappa(ps, spow(ps.sqrt_kappa, c), ps.sqrt_kappa)
+            ps = with_q_kappa(ps, ps.sqrt_kappa ** c, ps.sqrt_kappa)
         want = generic_enough_by_lattice(ps, B)
         assert _generic_enough(ps, B) == want
         decisions.add(want)
@@ -120,10 +120,10 @@ def test_generic_enough_lattice_edges(mode):
             assert generic_enough_by_lattice(ps, B) == (not on)
     # q^a = kappa^c is rejected exactly when |a|, |c| <= 2 B
     sq, sk = base.sqrt_q, base.sqrt_kappa
-    for sqrt_q, sqrt_kappa, on in ((spow(sk, 2 * B), sk, True),
-                                   (spow(sk, -2 * B - 1), sk, False),
-                                   (sq, spow(sq, 2 * B), True),
-                                   (sq, spow(sq, 2 * B + 1), False)):
+    for sqrt_q, sqrt_kappa, on in ((sk ** (2 * B), sk, True),
+                                   (sk ** (-2 * B - 1), sk, False),
+                                   (sq, sq ** (2 * B), True),
+                                   (sq, sq ** (2 * B + 1), False)):
         ps = with_q_kappa(base, sqrt_q, sqrt_kappa)
         assert _generic_enough(ps, B) == (not on)
         assert generic_enough_by_lattice(ps, B) == (not on)

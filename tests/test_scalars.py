@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qlaumon.scalars import FIELDS, Jet, PRIME, PrimeScalar, spow
+from qlaumon.scalars import FIELDS, Jet, PRIME, PrimeScalar
 from qlaumon.params import sample_params
 
 
@@ -91,9 +91,17 @@ def test_jet_agrees_with_rational_on_constant_parts():
         assert j.a == r
 
 
-def test_spow_negative():
-    assert spow(Fraction(2, 3), -2) == Fraction(9, 4)
-    assert spow(PrimeScalar(7), -1) * PrimeScalar(7) == PrimeScalar(1)
+@pytest.mark.parametrize("x", [Fraction(2, 3), PrimeScalar(7),
+                               Jet(Fraction(2, 3), Fraction(5, 7))],
+                         ids=["rational", "prime", "jet"])
+def test_integer_powers_of_either_sign(x):
+    # ** takes integer exponents of either sign in every scalar domain,
+    # and a negative power of zero is a ZeroDivisionError
+    for e in range(-4, 5):
+        assert x ** -e * x ** e == 1
+    assert x ** -2 == 1 / (x * x)
+    with pytest.raises(ZeroDivisionError):
+        (x - x) ** -1
 
 
 def test_sampling_deterministic():

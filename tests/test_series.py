@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
-from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL, spow
+from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
                             diagonal_op, eq_of_monomial, eq_product_normal_op,
                             exp_series, first_disagreements, identity_op,
@@ -28,9 +28,9 @@ def setup():
 def test_normal_ordering_evaluates_at_source_exponent():
     ps, ctx = setup()
     # :q^{theta_1} x_1: acts as x_1 q^{nu_1}
-    op = normal_ordered_op([((1, 0), lambda nu: spow(ctx.q, nu[0]))])
+    op = normal_ordered_op([((1, 0), lambda nu: ctx.q ** nu[0])])
     s = MultiSeries.monomial(2, 4, ps.field, (2, 1))
-    assert op(s) == MultiSeries.monomial(2, 4, ps.field, (3, 1), spow(ctx.q, 2))
+    assert op(s) == MultiSeries.monomial(2, 4, ps.field, (3, 1), ctx.q ** 2)
 
 
 def test_normal_ordering_identity():
@@ -66,7 +66,7 @@ def test_shift_on_diagonal_monomial_gives_kappa_power():
         alphas = [ps.kappa * ps.b(i) / ps.b((i + 1) % N) for i in range(N)]
         op = shift_scaling_op(alphas, ps.field)
         s = MultiSeries.monomial(N, N, ps.field, (1,) * N)
-        assert op(s).get((1,) * N) == spow(ps.kappa, N)
+        assert op(s).get((1,) * N) == ps.kappa ** N
 
 
 def test_delta_quadratic():
@@ -104,12 +104,12 @@ def test_twisted_letter_and_commutation():
     f = ps.field
     for i in range(2):
         for j in range(2):
-            diag = diagonal_op(lambda th, i=i: spow(ctx.q, 3 * th[i]))
+            diag = diagonal_op(lambda th, i=i: ctx.q ** (3 * th[i]))
             mult = mul_op(MultiSeries.monomial(2, 6, f, tuple(
                 1 if p == j else 0 for p in range(2))))
             lhs = compose([diag, mult])
             rhs = compose([mult, diag])
-            scale = spow(ctx.q, 3) if i == j else f.one
+            scale = ctx.q ** 3 if i == j else f.one
             rhs = rhs.scale(scale)
             assert ops_agree_on_monomials(lhs, rhs, 2, 3, 6, f) is None
 
@@ -172,7 +172,7 @@ def test_word_oracle_matches_operator_composition():
             e, sorted_word = normalize_word(word, N)
             op_plain = compose([letter_op(l, scales, ctx, N) for l in word])
             op_sorted = compose([letter_op(l, scales, ctx, N)
-                                 for l in sorted_word]).scale(spow(ctx.q, e))
+                                 for l in sorted_word]).scale(ctx.q ** e)
             cap = 4 + len(word)
             assert ops_agree_on_monomials(op_plain, op_sorted, N, 4, cap,
                                           ps.field) is None
@@ -198,9 +198,9 @@ def test_central_words():
             lam_exp = tuple(t + 1 for t in th)
             dn = ps.mass_product()
             assert up(s).get(lam_exp) == dn / ctx.q
-            assert down(s).get(lam_exp) == dn * spow(ctx.q, 1 - N)
+            assert down(s).get(lam_exp) == dn * ctx.q ** (1 - N)
             assert chk_up(s).get(lam_exp) == ctx.q
-            assert chk_down(s).get(lam_exp) == spow(ctx.q, N - 1)
+            assert chk_down(s).get(lam_exp) == ctx.q ** (N - 1)
 
 
 def test_adjoint_moves_borel_through_powers():
@@ -213,9 +213,9 @@ def test_adjoint_moves_borel_through_powers():
     borel_inv = qborel_op(-1, ctx)
     letter = twisted_letter_op(0, +1, c, ctx, 2)
     for n in (1, 2, 3):
-        plain = mul_op(MultiSeries.monomial(2, 8, f, (n, 0), spow(c, n)))
+        plain = mul_op(MultiSeries.monomial(2, 8, f, (n, 0), c ** n))
         lhs = compose([borel, plain, borel_inv])
-        rhs = compose([letter] * n).scale(spow(ctx.sqrt_q, n))
+        rhs = compose([letter] * n).scale(ctx.sqrt_q ** n)
         assert ops_agree_on_monomials(lhs, rhs, 2, 3, 8, f) is None
 
 
@@ -314,6 +314,14 @@ def test_exp_and_inverse_series():
     assert loge_back == MultiSeries.one(1, 6, f)
 
 
+def test_first_offender_is_lowest_degree_then_lexicographic():
+    # (0, 3) is the lexicographically least exponent, but of degree 3
+    f = RATIONAL
+    s = MultiSeries(2, 4, f, {(0, 3): f.one, (2, 0): f.one, (1, 1): f.one})
+    assert s.first_offender() == (1, 1)
+    assert MultiSeries.zero(2, 4, f).first_offender() is None
+
+
 @st.composite
 def sparse_series(draw):
     """A sparse series over Q or GF(p) in N = 1..3 variables, cap <= 5,
@@ -345,14 +353,14 @@ def test_single_variable_borel_commutations():
     sq_diag = diagonal_op(lambda th: ctx.qpow_half(th[0] * th[0]))
     sq_diag_inv = diagonal_op(lambda th: ctx.qpow_half(-th[0] * th[0]))
     x0 = mul_op(MultiSeries.monomial(2, 6, f, (1, 0)))
-    p0 = diagonal_op(lambda th: spow(ctx.q, th[0]))
+    p0 = diagonal_op(lambda th: ctx.q ** th[0])
     lhs = compose([sq_diag, x0, sq_diag_inv])
     rhs = compose([x0, p0]).scale(ctx.sqrt_q)
     assert ops_agree_on_monomials(lhs, rhs, 2, 3, 6, f) is None
 
-    cross = diagonal_op(lambda th: spow(ctx.q, th[0] * th[1]))
-    cross_inv = diagonal_op(lambda th: spow(ctx.q, -th[0] * th[1]))
-    p1 = diagonal_op(lambda th: spow(ctx.q, th[1]))
+    cross = diagonal_op(lambda th: ctx.q ** (th[0] * th[1]))
+    cross_inv = diagonal_op(lambda th: ctx.q ** (-th[0] * th[1]))
+    p1 = diagonal_op(lambda th: ctx.q ** th[1])
     lhs = compose([cross, x0, cross_inv])
     rhs = compose([x0, p1])
     assert ops_agree_on_monomials(lhs, rhs, 2, 3, 6, f) is None
