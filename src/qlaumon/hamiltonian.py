@@ -24,21 +24,23 @@ multiplication by the same pair of infinite products.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .nekrasov import solution_series
 from .params import sample_params
 from .qfun import QContext
 from .rmatrix import mat_eye, mat_mul, terminated_side
-from .series import (compose, diagonal_op, eq_of_monomial,
-                     eq_product_normal_op, first_disagreements, letter_op,
-                     mul_op, neumann_inverse_op, normal_ordered_dynamic_op,
-                     op_qexp, op_qexp_big, ops_agree_on_monomials,
-                     phi_of_monomial, phi_product_normal_op, qborel_op,
-                     shift_scaling_op, twisted_letter_op)
+from .series import (compose, diagonal_op, eq_coeff, eq_of_monomial,
+                     eq_product_normal_op, first_disagreements, mul_op,
+                     neumann_inverse_op, normal_ordered_dynamic_op,
+                     ops_agree_on_monomials, phi_coeff, phi_of_monomial,
+                     phi_product_normal_op, qborel_op, qexp_ray, ray_op,
+                     shift_scaling_op)
 
 FORMS = ("simple", "higher", "normal", "gl2-symmetric", "borel-moved")
 # The form used when none is named: "higher" applies H to the solution
-# series fastest, "normal" slowest (its left block is a Neumann inverse);
-# the three act identically (``check_form_equivalence``).
+# series fastest, "simple" up to 1.5x and "normal" (a Neumann inverse)
+# 5-9x slower; the three act identically (``check_form_equivalence``).
 DEFAULT_FORM = "higher"
 
 
@@ -89,21 +91,40 @@ def _upper_words(i, N):
 
 def _chain(spec, words, letter):
     """The product, in list order, of e_q(-W) for each (word, "e") and of
-    phi(-W) = e_q(-W)^{-1} for each (word, "phi"), with W the product of
-    letter(j) over the word (its rightmost letter acting first)."""
-    one = spec.params.field.one
+    phi(-W) = e_q(-W)^{-1} for each (word, "phi"), W the product over the
+    word of the letters letter(j) = (i, w, scale), each scale * x_i
+    q^{(1/2) w.theta}, the rightmost acting first.  The letters q-commute:
+    W x^nu = S q^{(w.nu + k0)/2} x^{nu+U} with U, w and S the sums and the
+    product over the letters and k0 the sum of w_k times the unit vectors
+    of the letters acting before letter k, so each factor is a ray."""
+    N = spec.N
     ops = []
     for word, kind in words:
-        qexp, sign = (op_qexp, -one) if kind == "e" else (op_qexp_big, one)
-        ops.append(qexp(compose([letter(j) for j in word]), len(word), sign,
-                        spec.ctx, spec.cap))
+        U, w, S, k0 = [0] * N, [0] * N, spec.params.field.one, 0
+        for j in reversed(word):
+            i, wj, scale = letter(j)
+            k0 += sum(map(mul, wj, U))
+            U[i] += 1
+            w = list(map(add, w, wj))
+            S = S * scale
+        ops.append(qexp_ray(eq_coeff if kind == "e" else phi_coeff, spec.ctx,
+                            -S * spec.ctx.qpow_half(k0), U, w, spec.cap))
     return compose(ops)
 
 
+def _letter(j, up, down, weight, scales, N):
+    """The letter scales[j] x_j q^{(weight/2)(theta_up - theta_down)} as
+    (i, w, scale), positions mod N."""
+    w = [0] * N
+    w[up % N] += weight
+    w[down % N] -= weight
+    return j % N, w, scales[j % N]
+
+
 def _twisted(spec, direction, scales):
-    """j -> the twisted letter at position j, scaled by scales[j mod N]."""
-    N = spec.N
-    return lambda j: twisted_letter_op(j, direction, scales[j % N], spec.ctx, N)
+    """j -> the twisted letter scales[j] x_j q^{direction (theta_j -
+    theta_{j-1})}."""
+    return lambda j: _letter(j, j, j - 1, 2 * direction, scales, spec.N)
 
 
 def _block_words(spec):
@@ -119,25 +140,26 @@ def lambda_block(spec, outer=False):
     """Multiplication by phi(Lambda), or phi(q^{1-N} D_N Lambda) when
     ``outer`` (D_N the product of all masses)."""
     ps = spec.params
-    ctx = spec.ctx
     pref = ps.field.one
     if outer:
         pref = ps.q ** (1 - spec.N) * ps.mass_product()
-    return mul_op(phi_of_monomial(ctx, spec.N, spec.cap, pref, (1,) * spec.N))
+    return qexp_ray(phi_coeff, spec.ctx, pref, (1,) * spec.N, (0,) * spec.N,
+                    spec.cap)
 
 
 def center_block(spec):
     """Multiplication by prod_k 1/(phi(d_k x_k) phi(dbar_k x_k)), one
-    variable at a time: the k-th factor e_q(d_k x_k) e_q(dbar_k x_k) is a
-    series in x_k alone, so the N-variable product is never expanded."""
+    variable at a time: the k-th factor e_q(d_k x_k) e_q(dbar_k x_k) is
+    one ray along e_k, its coefficients the Cauchy product of the two."""
     ps = spec.params
-    ctx = spec.ctx
+    N, ctx, cap = spec.N, spec.ctx, spec.cap
     ops = []
-    for k in range(spec.N):
-        vec = tuple(1 if p == k else 0 for p in range(spec.N))
-        ops.append(mul_op(
-            eq_of_monomial(ctx, spec.N, spec.cap, ps.d(k), vec)
-            * eq_of_monomial(ctx, spec.N, spec.cap, ps.dbar(k), vec)))
+    for k in range(N):
+        a, b = ([eq_coeff(ctx, z, n) for n in range(cap + 1)]
+                for z in (ps.d(k), ps.dbar(k)))
+        ops.append(ray_op([int(p == k) for p in range(N)], [0] * N, [
+            sum(a[m] * b[n - m] for m in range(n + 1))
+            for n in range(1, cap + 1)], ctx))
     return compose(ops)
 
 
@@ -224,14 +246,6 @@ def _gl2_symmetric_op(spec):
                     mul_op(last), shift_block(spec)])
 
 
-def _half_shift_letter(i, scale, ctx, N):
-    """Letter  scale * x_i * q^{(1/2)(theta_{i+1} - theta_{i-1})}."""
-    w = [0] * N
-    w[(i + 1) % N] += 1
-    w[(i - 1) % N] -= 1
-    return letter_op(i, w, scale, ctx, N)
-
-
 def moved_borel_expression(ps, cap, which, scales=None):
     """Three equivalent operator expressions with the Borel weight moved
     through the q-exponential chain.
@@ -264,17 +278,13 @@ def moved_borel_expression(ps, cap, which, scales=None):
             diagonal_op(lambda th: ctx.qpow_half(
                 sum(th[i] * (th[i] - th[i - 1] - 1) for i in range(N)))),
             _chain(spec, _conjugated_words(0, N),
-                   lambda j: _half_shift_letter(j, scales[j % N], ctx, N)),
+                   lambda j: _letter(j, j + 1, j - 1, 1, scales, N)),
             diagonal_op(lambda th: ctx.qpow_half(sum(th)))])
 
     if which == 2:
-        def eq_plain(j):
-            vec = tuple(1 if p == j % N else 0 for p in range(N))
-            return mul_op(eq_of_monomial(ctx, N, cap, -scales[j % N], vec))
-
-        def phi_plain(j):
-            vec = tuple(1 if p == j % N else 0 for p in range(N))
-            return mul_op(phi_of_monomial(ctx, N, cap, -scales[j % N], vec))
+        def plain(j, coeff):
+            return qexp_ray(coeff, ctx, -scales[j % N],
+                            [int(p == j % N) for p in range(N)], [0] * N, cap)
 
         def cross(a, b, sign):
             a %= N
@@ -284,14 +294,14 @@ def moved_borel_expression(ps, cap, which, scales=None):
         ops = [diagonal_op(lambda th: ctx.qpow_half(
             sum(t * (t - 1) for t in th)))]
         for j in range(1, N):
-            ops += [cross(j - 1, j, -1), eq_plain(j)]
+            ops += [cross(j - 1, j, -1), plain(j, eq_coeff)]
         for j in range(N - 2, 0, -1):
-            ops += [cross(j + 1, j, +1), phi_plain(j)]
+            ops += [cross(j + 1, j, +1), plain(j, phi_coeff)]
         ops.append(diagonal_op(lambda th: ctx.qpow_half(
             2 * th[1 % N] * th[0] - 2 * th[N - 1] * th[0])))
-        ops.append(eq_plain(0))
+        ops.append(plain(0, eq_coeff))
         for j in range(1, N - 1):
-            ops += [cross(j - 1, j, -1), eq_plain(j)]
+            ops += [cross(j - 1, j, -1), plain(j, eq_coeff)]
         ops.append(cross(N - 2, N - 1, -1))
         ops.append(diagonal_op(lambda th: ctx.qpow_half(
             sum(th[i] * (1 + th[(i + 1) % N]) for i in range(N)))))

@@ -3,31 +3,29 @@
 A MultiSeries is a sparse map from exponent vectors (tuples of length N,
 entries >= 0, total degree <= cap) to scalars.  Every operator here
 either preserves or raises total degree, so coefficients up to the cap
-are exact: truncation never corrupts the retained range.
+are exact: truncation never corrupts the retained range.  Each kernel
+is one pass over the terms that evaluates no term past the cap:
 
-Multiplication by a series pairs each term x^nu only with the terms of
-degree <= cap - |nu|.  Every other operator here is one ``sparse_op``: on
-x^nu it adds c * x^{nu+v} for the pairs (v, c) that an
-``expand(nu, budget)`` function lists, where budget = cap - |nu| bounds
-|v|, so terms past the cap are never evaluated.  The kinds of expand:
+  * ``diagonal_op``: x^theta -> fn(theta) x^theta (Borel weights, shift
+    scalings, the slot scalings of the solution series);
+  * ``ray_op``: x^nu -> x^nu + sum_n a_n q^{n w.nu/2} x^{nu+nU}, which
+    ``qexp_ray`` fills with the q-exponential (e_q or phi) of a word of
+    q-commuting letters x_i q^{(1/2) w.theta} (the chains of H) or of a
+    monomial (the Lambda and center blocks, ``eq_of_monomial``);
+  * the series product pairs x^nu only with terms of degree <= cap - |nu|;
+  * ``sparse_op``: x^nu -> sum c x^{nu+v} over the pairs (v, c) of
+    expand(nu, cap - |nu|), for the normal-ordered operators, which
+    evaluate a coefficient at the source exponent nu.
 
-  * diagonal operators theta -> scalar (shift scalings, Borel weights),
-  * normal-ordered operators: on a monomial x^nu, first evaluate a
-    coefficient at the source exponent nu, then multiply by an x-monomial,
-  * letters x_i q^{(1/2) w.theta}, among them the twisted letters
-    x_i q^{+-(theta_i - theta_{i-1})}.
-
-q-exponentials of words (compositions of letters), the Neumann inverse
-and exp are each one ``power_sum_op``: a sum of explicit operator powers.
-
-Indices on letters are cyclic mod N (position 0 plays x_1; "i-1" at i=0
-wraps to N-1).
+The Neumann inverse and exp are each one ``power_sum_op``, a sum of
+explicit operator powers.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import reduce
 from math import factorial
 from operator import add, mul
 
@@ -160,30 +158,21 @@ def exp_series(s):
 # -- q-function series --------------------------------------------------
 
 
-def _eq_coeff(ctx, z, n):
+def eq_coeff(ctx, z, n):
     """Coefficient of x^n in e_q(z x): z^n / (q;q)_n."""
     return z ** n / ctx.qq(n)
 
 
-def _phi_coeff(ctx, z, n):
+def phi_coeff(ctx, z, n):
     """Coefficient of x^n in phi(z x) = 1/e_q(z x):
     q^{n(n-1)/2} (-z)^n / (q;q)_n."""
     return ctx.q ** (n * (n - 1) // 2) * (-z) ** n / ctx.qq(n)
 
 
-def _qexp_of_monomial(coeff, ctx, N, cap, prefactor, xvec):
-    deg = sum(xvec)
-    if deg <= 0:
-        raise ValueError("argument must have positive total degree")
-    out = MultiSeries.one(N, cap, ctx.field)
-    for n in range(1, cap // deg + 1):
-        out.terms[tuple(n * e for e in xvec)] = coeff(ctx, prefactor, n)
-    return out
-
-
 def eq_of_monomial(ctx, N, cap, prefactor, xvec):
     """e_q(prefactor * x^xvec) = sum_n (pref)^n x^{n.vec} / (q;q)_n."""
-    return _qexp_of_monomial(_eq_coeff, ctx, N, cap, prefactor, xvec)
+    return qexp_ray(eq_coeff, ctx, prefactor, xvec, (0,) * N, cap)(
+        MultiSeries.one(N, cap, ctx.field))
 
 
 def phi_of_monomial(ctx, N, cap, prefactor, xvec):
@@ -191,7 +180,8 @@ def phi_of_monomial(ctx, N, cap, prefactor, xvec):
 
     Inverse of ``eq_of_monomial`` with the same argument.
     """
-    return _qexp_of_monomial(_phi_coeff, ctx, N, cap, prefactor, xvec)
+    return qexp_ray(phi_coeff, ctx, prefactor, xvec, (0,) * N, cap)(
+        MultiSeries.one(N, cap, ctx.field))
 
 
 # -- operators -----------------------------------------------------------
@@ -231,10 +221,7 @@ def identity_op():
 
 def compose(ops):
     """Compose a list of operators, leftmost acting last (product order)."""
-    out = identity_op()
-    for op in ops:
-        out = out @ op
-    return out
+    return reduce(Op.__matmul__, ops, identity_op())
 
 
 def mul_op(series):
@@ -257,24 +244,65 @@ def sparse_op(expand):
     return Op(apply)
 
 
+def ray_op(U, w, coeffs, ctx):
+    """The operator  x^nu -> x^nu + sum_n coeffs[n-1] q^{n w.nu/2} x^{nu+nU}
+    for an exponent vector U of positive total degree and an integer
+    vector w, up to the cap, in one pass: the n-th term of a source term
+    is the (n-1)-th times q^{w.nu/2}, then times coeffs[n-1]."""
+    deg = sum(U)
+    if deg <= 0:
+        raise ValueError("argument must have positive total degree")
+    twisted = any(w)
+
+    def apply(s):
+        out = s.copy()
+        for nu, t in s.terms.items():
+            step = ctx.qpow_half(sum(map(mul, w, nu))) if twisted else None
+            k = nu
+            for a in coeffs[:(s.cap - sum(nu)) // deg]:
+                k = tuple(map(add, k, U))
+                if twisted:
+                    t = t * step
+                add_term(out.terms, k, a * t)
+        return out
+    return Op(apply)
+
+
+def qexp_ray(coeff, ctx, z, U, w, cap):
+    """sum_n coeff(ctx, z, n) W^n for the operator W x^nu = q^{w.nu/2}
+    x^{nu+U}, as one ``ray_op``: W^n x^nu = q^{(n w.nu + C(n,2) w.U)/2}
+    x^{nu+nU}.  With w = 0 it is multiplication by the q-exponential
+    series sum_n coeff(ctx, z, n) x^{nU} of a monomial."""
+    wU = sum(map(mul, w, U))
+    return ray_op(U, w, [coeff(ctx, z, n) * ctx.qpow_half(n * (n - 1) // 2 * wU)
+                         for n in range(1, cap // max(sum(U), 1) + 1)], ctx)
+
+
 def diagonal_op(fn):
-    """Multiply the coefficient of x^theta by fn(theta)."""
-    def expand(theta, budget):
-        return (((0,) * len(theta), fn(theta)),)
-    return Op(sparse_op(expand).fn, "preserves")
+    """Multiply the coefficient of x^theta by fn(theta), in one map over
+    the terms; a product that vanishes is dropped, never stored."""
+    def apply(s):
+        out = MultiSeries(s.N, s.cap, s.field)
+        out.terms = {k: c for k, v in s.terms.items() if (c := fn(k) * v)}
+        return out
+    return Op(apply, "preserves")
 
 
 def shift_scaling_op(alphas, field):
     """The substitution x_i -> alpha_i x_i: multiplies x^theta by
-    prod alpha_i^theta_i.  Rejects zero alphas."""
+    prod alpha_i^theta_i, each power alpha_i^t computed once.  Rejects
+    zero alphas."""
     alphas = list(alphas)
-    for a in alphas:
-        if not a:
-            raise ValueError("zero shift parameter")
+    if not all(alphas):
+        raise ValueError("zero shift parameter")
+    powers = [[field.one] for _ in alphas]  # powers[i][t] = alpha_i^t
+
     def fn(theta):
         out = field.one
-        for a, t in zip(alphas, theta):
-            out = out * a ** t
+        for a, p, t in zip(alphas, powers, theta):
+            while len(p) <= t:
+                p.append(p[-1] * a)
+            out = out * p[t]
         return out
     return diagonal_op(fn)
 
@@ -312,28 +340,6 @@ def normal_ordered_dynamic_op(expand):
                                          if sum(xv) <= budget])
 
 
-def letter_op(i, w, scale, ctx, N):
-    """The letter  scale * x_i * q^{(1/2) w.theta}  (0-based position i,
-    cyclic; w an integer vector).  Raises degree by one."""
-    unit = tuple(1 if p == i % N else 0 for p in range(N))
-    w = tuple(w)
-
-    def expand(nu, budget):
-        if budget < 1:
-            return ()
-        return ((unit, scale * ctx.qpow_half(sum(map(mul, w, nu)))),)
-    return sparse_op(expand)
-
-
-def twisted_letter_op(i, direction, scale, ctx, N):
-    """The letter  scale * x_i * q^{direction * (theta_i - theta_{i-1})}
-    (0-based position i, cyclic).  Raises degree by one."""
-    w = [0] * N
-    w[i % N] += 2 * direction
-    w[(i - 1) % N] -= 2 * direction
-    return letter_op(i, w, scale, ctx, N)
-
-
 def power_sum_op(word, coeffs):
     """The operator  s -> s + sum_n coeffs[n-1] W^n s  for the word W,
     summed until the first power W^n s that vanishes."""
@@ -347,22 +353,6 @@ def power_sum_op(word, coeffs):
             out = out + power.scale(c)
         return out
     return Op(apply)
-
-
-def _qexp_op(coeff, word, word_degree, z, ctx, cap):
-    return power_sum_op(word, [coeff(ctx, z, n) for n in
-                               range(1, cap // max(word_degree, 1) + 1)])
-
-
-def op_qexp(word, word_degree, sign, ctx, cap):
-    """e_q(sign * W) = sum_n sign^n W^n / (q;q)_n, by explicit powers."""
-    return _qexp_op(_eq_coeff, word, word_degree, sign, ctx, cap)
-
-
-def op_qexp_big(word, word_degree, sign, ctx, cap):
-    """phi(-sign*W) = E_q(sign*W) = sum_n q^{n(n-1)/2} sign^n W^n/(q;q)_n;
-    the two-sided inverse of op_qexp(word, sign)."""
-    return _qexp_op(_phi_coeff, word, word_degree, -sign, ctx, cap)
 
 
 def neumann_inverse_op(op, cap):
@@ -400,13 +390,13 @@ def phi_product_normal_op(scales, direction, ctx, N, cap):
     contributes prod_i q^{a_i(a_i-1)/2} (-c_i)^{a_i} q^{direction a_i
     (nu_i - nu_{i-1})} / (q;q)_{a_i}  times x^{nu+a}.
     """
-    return _qexp_product_normal_op(_phi_coeff, scales, direction, ctx, N, cap)
+    return _qexp_product_normal_op(phi_coeff, scales, direction, ctx, N, cap)
 
 
 def eq_product_normal_op(scales, direction, ctx, N, cap):
     """Normal-ordered  :prod_i e_q(c_i x_i q^{direction (theta_i - theta_{i-1})}):,
     the coefficient-wise inverse expansion of ``phi_product_normal_op``."""
-    return _qexp_product_normal_op(_eq_coeff, scales, direction, ctx, N, cap)
+    return _qexp_product_normal_op(eq_coeff, scales, direction, ctx, N, cap)
 
 
 # -- exponent vectors ---------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from operator import mul
 
 from qlaumon.fourd import JET_Q
 from qlaumon.jackson import (_blocks_and_norm, _perm_sign, _vandermonde,
@@ -21,7 +22,9 @@ from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
 from qlaumon.qfun import poch, single_bracket
 from qlaumon.rmatrix import norm_factor, phi_kernel, phi_kernel_masslike
 from qlaumon.scalars import Jet
-from qlaumon.series import MultiSeries, add_term, exponent_vectors
+from qlaumon.series import (MultiSeries, add_term, compose, eq_coeff,
+                            exponent_vectors, phi_coeff, power_sum_op,
+                            sparse_op)
 
 
 # -- q-functions (qfun) --------------------------------------------------------
@@ -77,6 +80,67 @@ def series_inverse(s):
         out = out + power.scale(s.field.of(sign))
         sign = -sign
     return out.scale(ic0)
+
+
+def qexp_series(coeff, ctx, N, cap, z, xvec):
+    """The series sum_n coeff(ctx, z, n) x^{n xvec}, |xvec| > 0, written
+    out term by term."""
+    return MultiSeries(N, cap, ctx.field, {
+        tuple(n * e for e in xvec): coeff(ctx, z, n)
+        for n in range(cap // sum(xvec) + 1)})
+
+
+def letter_op(i, w, scale, ctx, N):
+    """The letter  scale * x_i * q^{(1/2) w.theta}  (0-based position i,
+    cyclic; w an integer vector).  Raises degree by one."""
+    unit = tuple(1 if p == i % N else 0 for p in range(N))
+    w = tuple(w)
+
+    def expand(nu, budget):
+        if budget < 1:
+            return ()
+        return ((unit, scale * ctx.qpow_half(sum(map(mul, w, nu)))),)
+    return sparse_op(expand)
+
+
+def twisted_letter_op(i, direction, scale, ctx, N):
+    """The letter  scale * x_i * q^{direction * (theta_i - theta_{i-1})}
+    (0-based position i, cyclic).  Raises degree by one."""
+    w = [0] * N
+    w[i % N] += 2 * direction
+    w[(i - 1) % N] -= 2 * direction
+    return letter_op(i, w, scale, ctx, N)
+
+
+def _qexp_op(coeff, word, word_degree, z, ctx, cap):
+    return power_sum_op(word, [coeff(ctx, z, n) for n in
+                               range(1, cap // max(word_degree, 1) + 1)])
+
+
+def op_qexp(word, word_degree, sign, ctx, cap):
+    """e_q(sign * W) = sum_n sign^n W^n / (q;q)_n, by explicit powers."""
+    return _qexp_op(eq_coeff, word, word_degree, sign, ctx, cap)
+
+
+def op_qexp_big(word, word_degree, sign, ctx, cap):
+    """phi(-sign*W) = E_q(sign*W) = sum_n q^{n(n-1)/2} sign^n W^n/(q;q)_n;
+    the two-sided inverse of op_qexp(word, sign)."""
+    return _qexp_op(phi_coeff, word, word_degree, -sign, ctx, cap)
+
+
+def composed_chain(spec, words, letter):
+    """``hamiltonian._chain`` letter by letter: each letter(j) = (i, w,
+    scale) is its own ``letter_op``, each word their composition (its
+    rightmost letter acting first), and each q-exponential the sum of
+    its explicit powers."""
+    one = spec.params.field.one
+    ops = []
+    for word, kind in words:
+        qexp, sign = (op_qexp, -one) if kind == "e" else (op_qexp_big, one)
+        ops.append(qexp(compose([letter_op(*letter(j), spec.ctx, spec.N)
+                                 for j in word]),
+                        len(word), sign, spec.ctx, spec.cap))
+    return compose(ops)
 
 
 # -- partitions ----------------------------------------------------------------

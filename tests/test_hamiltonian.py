@@ -18,9 +18,11 @@ from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
 from qlaumon.scalars import RATIONAL
-from qlaumon.series import (MultiSeries, eq_of_monomial,
-                            first_disagreements, ops_agree_on_monomials,
-                            phi_of_monomial, sparse_op)
+from qlaumon.series import (MultiSeries, all_monomials, eq_coeff,
+                            eq_of_monomial, first_disagreements, mul_op,
+                            ops_agree_on_monomials, phi_coeff, phi_of_monomial,
+                            qexp_ray, ray_op, sparse_op)
+from oracles import composed_chain, qexp_series
 from test_series import scan_oracles
 
 
@@ -72,6 +74,102 @@ def test_center_block_matches_dense_product():
                 tuple(rng.randrange(2) for _ in range(N)):
                 ps.field.of(rng.randrange(1, 9)) for _ in range(5)})
             assert center_block(spec)(s) == dense * s
+
+
+def _word_lists(N):
+    return [(tag, i, words(i, N)) for tag, words in (
+        ("conjugated", hamiltonian._conjugated_words),
+        ("lower", hamiltonian._lower_words),
+        ("upper", hamiltonian._upper_words)) for i in range(N)]
+
+
+def _both_letters(spec):
+    """The hat letters of R and the check letters of L."""
+    return {+1: hamiltonian._twisted(spec, +1, hamiltonian._hat_scales(spec)),
+            -1: hamiltonian._twisted(spec, -1, [spec.params.field.one] * spec.N)}
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("N, degree", [(2, 5), (3, 4), (4, 3), (5, 3)])
+def test_chain_rays_match_the_composed_letter_oracle(mode, N, degree):
+    """Every word list of the block family, read forwards as in R and
+    backwards as in L, in both letter directions, acts as the power sums
+    of the composed letters; the Lambda and center blocks act as
+    multiplication by their series written out term by term."""
+    ps = sample_params(2, N, mode)
+    f = ps.field
+    spec = HamiltonianSpec(ps, "simple", degree)
+    ctx = spec.ctx
+    for tag, i, words in _word_lists(N):
+        backwards = [(word[::-1], kind) for word, kind in reversed(words)]
+        for direction, letter in _both_letters(spec).items():
+            for chain in (words, backwards):
+                assert first_disagreements(
+                    composed_chain(spec, chain, letter),
+                    [hamiltonian._chain(spec, chain, letter)],
+                    N, degree, degree, f) == [None], (tag, i, direction)
+    for outer in (False, True):
+        pref = ps.q ** (1 - N) * ps.mass_product() if outer else f.one
+        series = qexp_series(phi_coeff, ctx, N, degree, pref, (1,) * N)
+        assert first_disagreements(mul_op(series), [lambda_block(spec, outer)],
+                                   N, degree, degree, f) == [None]
+    series = MultiSeries.one(N, degree, f)
+    for k in range(N):
+        for z in (ps.d(k), ps.dbar(k)):
+            series = series * qexp_series(eq_coeff, ctx, N, degree, z, tuple(
+                int(p == k) for p in range(N)))
+    assert first_disagreements(mul_op(series), [center_block(spec)],
+                               N, degree, degree, f) == [None]
+
+
+def _k0_off_by_one(coeff, ctx, z, U, w, cap):
+    """The ray of a word of letters with k0 one too large."""
+    return qexp_ray(coeff, ctx, z * ctx.qpow_half(1) if any(w) else z,
+                    U, w, cap)
+
+
+def _no_quadratic_term(coeff, ctx, z, U, w, cap):
+    """The ray without the power q^{C(n,2) w.U/2}."""
+    return ray_op(U, w, [coeff(ctx, z, n)
+                         for n in range(1, cap // sum(U) + 1)], ctx)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("mutant", [_k0_off_by_one, _no_quadratic_term])
+def test_a_wrong_word_kernel_is_reported(monkeypatch, mode, mutant):
+    """Negative control: with a wrong closed power of the words, every
+    ray chain differs from the composed-letter oracle, and the simple
+    blocks from the higher and the normal-ordered ones."""
+    N, degree = 3, 3
+    monkeypatch.setattr(hamiltonian, "qexp_ray", mutant)
+    spec = HamiltonianSpec(sample_params(2, N, mode), "simple", degree)
+    for direction, letter in _both_letters(spec).items():
+        for _, _, words in _word_lists(N):
+            assert first_disagreements(
+                composed_chain(spec, words, letter),
+                [hamiltonian._chain(spec, words, letter)],
+                N, degree, degree, spec.params.field) != [None]
+    pairs = {(side, pair) for side, pair, _ in
+             check_form_equivalence(N, degree, 2, mode)}
+    assert pairs == {(side, "simple-vs-" + other) for side in ("left", "right")
+                     for other in ("higher", "normal")}
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("form, N, cap", [("simple", 3, 5), ("higher", 3, 5),
+                                          ("normal", 3, 5), ("higher", 4, 4)])
+def test_blocks_raise_exponents_componentwise_and_store_no_zero(
+        mode, form, N, cap):
+    """Every block of H maps x^nu into the span of the x^mu with mu >= nu
+    componentwise, and stores no zero coefficient."""
+    ps = sample_params(2, N, mode)
+    spec = HamiltonianSpec(ps, form, cap)
+    for name, block in zip("LCRBT", build_blocks(spec)):
+        for nu in all_monomials(N, cap):
+            out = block(MultiSeries.monomial(N, cap, ps.field, nu))
+            assert all(all(map(int.__le__, nu, mu)) for mu in out.terms), \
+                (name, nu)
+            assert all(out.terms.values()), (name, nu)
 
 
 def test_hamiltonian_annihilates_zero():

@@ -8,16 +8,18 @@ from qlaumon.params import sample_params
 from qlaumon.qfun import QContext
 from qlaumon.scalars import FIELDS, PRIME_FIELD, RATIONAL
 from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic,
-                            diagonal_op, eq_of_monomial, eq_product_normal_op,
+                            diagonal_op, eq_coeff, eq_of_monomial,
+                            eq_product_normal_op,
                             exp_series, first_disagreements, identity_op,
                             mul_op,
-                            neumann_inverse_op, normal_ordered_op, op_qexp,
-                            op_qexp_big, ops_agree_on_monomials,
-                            phi_of_monomial, phi_product_normal_op,
-                            probe_series, qborel_op, shift_scaling_op,
-                            sparse_op, twisted_letter_op)
+                            neumann_inverse_op, normal_ordered_op,
+                            ops_agree_on_monomials,
+                            phi_coeff, phi_of_monomial, phi_product_normal_op,
+                            probe_series, qborel_op, ray_op, shift_scaling_op,
+                            sparse_op)
 
-from oracles import series_inverse
+from oracles import (op_qexp, op_qexp_big, qexp_series, series_inverse,
+                     twisted_letter_op)
 
 
 def setup():
@@ -57,6 +59,20 @@ def test_shift_scaling():
     assert shift_scaling_op([f.one, f.one], f)(s) == s
     with pytest.raises(ValueError):
         shift_scaling_op([f.zero, f.one], f)
+    # the powers are kept between applications: a second application,
+    # to a series with higher powers, reads the first one's and adds more
+    for cap in (3, 6):
+        s = MultiSeries(2, cap, f, {th: f.of(7) for th in all_monomials(2, cap)})
+        assert op(s) == MultiSeries(2, cap, f, {
+            th: f.of(2) ** th[0] * f.of(3) ** th[1] * 7 for th in s.terms})
+
+
+def test_diagonal_op_stores_no_zero():
+    ps, _ = setup()
+    f = ps.field
+    s = MultiSeries(2, 3, f, {th: f.one for th in all_monomials(2, 3)})
+    out = diagonal_op(lambda th: f.zero if th[0] == 1 else f.of(th[1] + 1))(s)
+    assert out.terms == {th: f.of(th[1] + 1) for th in s.terms if th[0] != 1}
 
 
 def test_shift_on_diagonal_monomial_gives_kappa_power():
@@ -265,6 +281,20 @@ def test_phi_of_monomial_rejects_degree_zero():
         phi_of_monomial(ctx, 2, 4, ps.field.one, (0, 0))
     with pytest.raises(ValueError):
         eq_of_monomial(ctx, 2, 4, ps.field.one, (0, 0))
+    with pytest.raises(ValueError):
+        ray_op((0, 0), (1, -1), [ps.field.one], ctx)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_qexp_of_monomial_is_the_written_out_series(mode):
+    ps = sample_params(4, 3, mode)
+    ctx = QContext(ps.sqrt_q, ps.field)
+    for xvec in ((1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 1)):
+        for z in (ps.field.one, ps.d(1), -ps.dbar(2)):
+            assert eq_of_monomial(ctx, 3, 7, z, xvec) == \
+                qexp_series(eq_coeff, ctx, 3, 7, z, xvec)
+            assert phi_of_monomial(ctx, 3, 7, z, xvec) == \
+                qexp_series(phi_coeff, ctx, 3, 7, z, xvec)
 
 
 def test_operators_are_linear():
