@@ -9,8 +9,8 @@ rational arithmetic, so "defect zero" means identically zero
 coefficients, not small ones.
 """
 
-from qlaumon import (HamiltonianSpec, apply_hamiltonian, hamiltonian_op,
-                     sample_params, verify_conjecture)
+from qlaumon import (HamiltonianSpec, hamiltonian_op, sample_params,
+                     verify_conjecture)
 from qlaumon.nekrasov import gl1_closed_solution, solution_series
 from qlaumon.series import ops_agree_on_monomials
 
@@ -23,7 +23,7 @@ closed = gl1_closed_solution(ps, cap=8)
 print("series == closed exponential form:", psi == closed)
 spec = HamiltonianSpec(ps, "normal", cap=8)
 print("H psi == psi through degree 8:",
-      (apply_hamiltonian(spec, psi) - psi).is_zero())
+      (hamiltonian_op(spec)(psi) - psi).is_zero())
 
 print()
 print("=== rank two: the proven case, three equivalent forms ===")
@@ -31,7 +31,7 @@ ps = sample_params(seed=1, N=2)
 psi = solution_series(ps, cap=4)
 for form in ("simple", "higher", "normal", "gl2-symmetric"):
     spec = HamiltonianSpec(ps, form, cap=4)
-    defect = apply_hamiltonian(spec, psi) - psi
+    defect = hamiltonian_op(spec)(psi) - psi
     print("  form %-14s defect zero: %s" % (form, defect.is_zero()))
 
 h_simple = hamiltonian_op(HamiltonianSpec(ps, "simple", 3))

@@ -15,13 +15,13 @@ from .qfun import QContext, bracket, poch, qbinom
 from .series import MultiSeries, Op
 from .nekrasov import (LaumonParams, laumon_partition_function,
                        solution_series)
-from .hamiltonian import (HamiltonianSpec, apply_hamiltonian, build_blocks,
-                          hamiltonian_op, verify_conjecture)
+from .hamiltonian import (HamiltonianSpec, build_blocks, hamiltonian_op,
+                          verify_conjecture)
 
 __all__ = [
     "FIELDS", "Jet", "PRIME", "PrimeScalar", "RATIONAL", "PRIME_FIELD",
     "ParamSet", "sample_params", "QContext", "bracket", "poch", "qbinom",
     "MultiSeries", "Op", "LaumonParams", "laumon_partition_function",
-    "solution_series", "HamiltonianSpec", "apply_hamiltonian",
-    "build_blocks", "hamiltonian_op", "verify_conjecture",
+    "solution_series", "HamiltonianSpec", "build_blocks", "hamiltonian_op",
+    "verify_conjecture",
 ]

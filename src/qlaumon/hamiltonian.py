@@ -17,7 +17,8 @@ with a conjugation twist on the wrap-around letter), a higher-root
 factorization (chain over increasing words) and a normal-ordered form;
 the three act identically, which ``check_form_equivalence`` verifies on
 the monomial basis.  Each chain is one list of (word, "e" | "phi"),
-which ``_chain`` turns into an operator; L is R's chain read backwards.
+which ``_chain_rays`` turns into rays; L is R's chain read backwards,
+and L, C and R are one ``rays_op`` each.
 At N = 1 the lists are empty and every form degenerates to
 multiplication by the same pair of infinite products.
 """
@@ -34,13 +35,14 @@ from .series import (compose, diagonal_op, eq_coeff, eq_of_monomial,
                      eq_product_normal_op, first_disagreements, mul_op,
                      neumann_inverse_op, normal_ordered_dynamic_op,
                      ops_agree_on_monomials, phi_coeff, phi_of_monomial,
-                     phi_product_normal_op, qborel_op, qexp_ray, ray_op,
+                     phi_product_normal_op, qborel_op, qexp_ray, rays_op,
                      shift_scaling_op)
 
 FORMS = ("simple", "higher", "normal", "gl2-symmetric", "borel-moved")
 # The form used when none is named: "higher" applies H to the solution
-# series fastest, "simple" up to 1.5x and "normal" (a Neumann inverse)
-# 5-9x slower; the three act identically (``check_form_equivalence``).
+# series fastest, "simple" up to 1.3x and "normal" (a Neumann inverse on
+# sparse terms) 20-30x slower; the three act identically
+# (``check_form_equivalence``).
 DEFAULT_FORM = "higher"
 
 
@@ -89,8 +91,8 @@ def _upper_words(i, N):
             + [((j,), "e") for j in range(i + 1, i + N)])
 
 
-def _chain(spec, words, letter):
-    """The product, in list order, of e_q(-W) for each (word, "e") and of
+def _chain_rays(spec, words, letter):
+    """The rays, in list order, of e_q(-W) for each (word, "e") and of
     phi(-W) = e_q(-W)^{-1} for each (word, "phi"), W the product over the
     word of the letters letter(j) = (i, w, scale), each scale * x_i
     q^{(1/2) w.theta}, the rightmost acting first.  The letters q-commute:
@@ -98,7 +100,7 @@ def _chain(spec, words, letter):
     product over the letters and k0 the sum of w_k times the unit vectors
     of the letters acting before letter k, so each factor is a ray."""
     N = spec.N
-    ops = []
+    rays = []
     for word, kind in words:
         U, w, S, k0 = [0] * N, [0] * N, spec.params.field.one, 0
         for j in reversed(word):
@@ -107,9 +109,14 @@ def _chain(spec, words, letter):
             U[i] += 1
             w = list(map(add, w, wj))
             S = S * scale
-        ops.append(qexp_ray(eq_coeff if kind == "e" else phi_coeff, spec.ctx,
-                            -S * spec.ctx.qpow_half(k0), U, w, spec.cap))
-    return compose(ops)
+        rays.append(qexp_ray(eq_coeff if kind == "e" else phi_coeff, spec.ctx,
+                             -S * spec.ctx.qpow_half(k0), U, w, spec.cap))
+    return rays
+
+
+def _chain(spec, words, letter):
+    """The product of the q-exponentials of ``_chain_rays``, one operator."""
+    return rays_op(_chain_rays(spec, words, letter), spec.ctx)
 
 
 def _letter(j, up, down, weight, scales, N):
@@ -136,8 +143,8 @@ def _block_words(spec):
     raise ValueError("the %s form has no L, C, R blocks" % spec.form)
 
 
-def lambda_block(spec, outer=False):
-    """Multiplication by phi(Lambda), or phi(q^{1-N} D_N Lambda) when
+def _lambda_ray(spec, outer=False):
+    """The ray of phi(Lambda), or of phi(q^{1-N} D_N Lambda) when
     ``outer`` (D_N the product of all masses)."""
     ps = spec.params
     pref = ps.field.one
@@ -147,20 +154,26 @@ def lambda_block(spec, outer=False):
                     spec.cap)
 
 
+def lambda_block(spec, outer=False):
+    """Multiplication by phi(Lambda), or phi(q^{1-N} D_N Lambda) when
+    ``outer``."""
+    return rays_op([_lambda_ray(spec, outer)], spec.ctx)
+
+
 def center_block(spec):
     """Multiplication by prod_k 1/(phi(d_k x_k) phi(dbar_k x_k)), one
     variable at a time: the k-th factor e_q(d_k x_k) e_q(dbar_k x_k) is
     one ray along e_k, its coefficients the Cauchy product of the two."""
     ps = spec.params
     N, ctx, cap = spec.N, spec.ctx, spec.cap
-    ops = []
+    rays = []
     for k in range(N):
         a, b = ([eq_coeff(ctx, z, n) for n in range(cap + 1)]
                 for z in (ps.d(k), ps.dbar(k)))
-        ops.append(ray_op([int(p == k) for p in range(N)], [0] * N, [
+        rays.append(([int(p == k) for p in range(N)], [0] * N, [
             sum(a[m] * b[n - m] for m in range(n + 1))
-            for n in range(1, cap + 1)], ctx))
-    return compose(ops)
+            for n in range(1, cap + 1)]))
+    return rays_op(rays, ctx)
 
 
 def left_block(spec):
@@ -173,8 +186,8 @@ def left_block(spec):
         return neumann_inverse_op(inv, spec.cap)
     # R's chain read backwards, each word reversed
     words = [(word[::-1], kind) for word, kind in reversed(_block_words(spec))]
-    return compose([_chain(spec, words, _twisted(spec, -1, sc)),
-                    lambda_block(spec)])
+    return rays_op(_chain_rays(spec, words, _twisted(spec, -1, sc))
+                   + [_lambda_ray(spec)], spec.ctx)
 
 
 def right_block(spec):
@@ -182,8 +195,9 @@ def right_block(spec):
     sc = _hat_scales(spec)
     if spec.form == "normal":
         return phi_product_normal_op(sc, +1, spec.ctx, N, spec.cap)
-    return compose([lambda_block(spec, outer=True),
-                    _chain(spec, _block_words(spec), _twisted(spec, +1, sc))])
+    return rays_op([_lambda_ray(spec, outer=True)]
+                   + _chain_rays(spec, _block_words(spec),
+                                 _twisted(spec, +1, sc)), spec.ctx)
 
 
 def borel_block(spec):
@@ -210,10 +224,6 @@ def hamiltonian_op(spec):
         return _borel_moved_op(spec)
     left, center, right, borel, shift = build_blocks(spec)
     return compose([borel, left, center, right, borel, shift])
-
-
-def apply_hamiltonian(spec, s):
-    return hamiltonian_op(spec)(s)
 
 
 def _gl2_symmetric_op(spec):
@@ -283,8 +293,8 @@ def moved_borel_expression(ps, cap, which, scales=None):
 
     if which == 2:
         def plain(j, coeff):
-            return qexp_ray(coeff, ctx, -scales[j % N],
-                            [int(p == j % N) for p in range(N)], [0] * N, cap)
+            return rays_op([qexp_ray(coeff, ctx, -scales[j % N], [
+                int(p == j % N) for p in range(N)], [0] * N, cap)], ctx)
 
         def cross(a, b, sign):
             a %= N

@@ -127,7 +127,10 @@ def _generic_enough(ps, bound):
     bound, are distinct (it covers the sinh-bracket poles of the vector
     multiplet denominators within the degree window, and q not a root of
     unity); the third keeps b_i/b_j off those points.  Both are answered
-    from the powers of kappa alone, without listing the points."""
+    from the powers of kappa alone, without listing the points, and on
+    residues mod PRIME: an exact relation holds mod PRIME too, and each
+    relation found mod PRIME is confirmed in the draw's own field, so
+    the decision is the exact one."""
     one = ps.field.one
     base = [ps.q, ps.kappa] + [ps.b(i) for i in range(ps.N)] \
         + [ps.d(i) for i in range(ps.N)] + [ps.dbar(i) for i in range(ps.N)]
@@ -138,37 +141,50 @@ def _generic_enough(ps, bound):
             if u == v:
                 return False
     q, kappa = ps.q, ps.kappa
-    # kappa^c for c = 0..2 bound, then the negative powers
-    kpow = [one]
-    for _ in range(2 * bound):
-        kpow.append(kpow[-1] * kappa)
-    if one in kpow[1:]:
+
+    def holds(a, c, i=0, j=0):
+        """b_i q^a = b_j kappa^c in the draw's field."""
+        return ps.b(i) * q ** a == ps.b(j) * kappa ** c
+
+    rq, rk = _residue(q), _residue(kappa)
+    iq, ik = pow(rq, -1, PRIME), pow(rk, -1, PRIME)
+    # residue -> the exponents c, |c| <= 2 bound, of the kappa^c it is
+    kpow = {}
+    up = down = 1
+    for c in range(2 * bound + 1):
+        kpow.setdefault(up, []).append(c)
+        if c:
+            kpow.setdefault(down, []).append(-c)
+        up, down = up * rk % PRIME, down * ik % PRIME
+    if any(holds(0, c) for c in kpow[1] if c):
         return False
-    inv_kappa = 1 / kappa
-    kneg = [one]
-    for _ in range(2 * bound):
-        kneg.append(kneg[-1] * inv_kappa)
     # q^a kappa^c = 1 with a != 0: up to the sign of (a, c), a > 0 and
     # q^a = kappa^{-c}
-    wide = set(kpow) | set(kneg)
-    qa = one
-    for _ in range(2 * bound):
-        qa = qa * q
-        if qa in wide:
+    qa = 1
+    for a in range(1, 2 * bound + 1):
+        qa = qa * rq % PRIME
+        if any(holds(a, c) for c in kpow.get(qa, ())):
             return False
     # b_i/b_j = q^a kappa^c, or b_j/b_i = q^{-a} kappa^{-c}: one test per
     # unordered pair, b_i/b_j q^{-a} against the kappa^c, |c| <= bound
-    narrow = set(kpow[:bound + 1]) | set(kneg[:bound + 1])
-    inv_q = 1 / q
-    qshift = [q ** bound]
-    for _ in range(2 * bound):
-        qshift.append(qshift[-1] * inv_q)
+    rb = [_residue(ps.b(i)) for i in range(ps.N)]
+    qb = pow(rq, bound, PRIME)
     for i in range(ps.N):
         for j in range(i + 1, ps.N):
-            r = ps.b(i) / ps.b(j)
-            if any(r * s in narrow for s in qshift):
-                return False
+            r = rb[i] * pow(rb[j], -1, PRIME) * qb % PRIME
+            for a in range(-bound, bound + 1):
+                if any(holds(-a, c, i, j) for c in kpow.get(r, ())
+                       if abs(c) <= bound):
+                    return False
+                r = r * iq % PRIME
     return True
+
+
+def _residue(x):
+    """A nonzero Fraction or PrimeScalar mod PRIME."""
+    if isinstance(x, PrimeScalar):
+        return x.r
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
 
 
 def rand_square(rng, field):

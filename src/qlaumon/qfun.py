@@ -12,14 +12,15 @@ from __future__ import annotations
 
 
 class QContext:
-    """Base q with its square root, plus small caches of (q;q)_n and of
-    the integer powers of sqrt_q."""
+    """Base q with its square root, plus small caches of (q;q)_n, of its
+    inverse and of the integer powers of sqrt_q."""
 
     def __init__(self, sqrt_q, field):
         self.sqrt_q = sqrt_q
         self.q = sqrt_q * sqrt_q
         self.field = field
         self._qq = [field.one]  # (q;q)_n cache
+        self._inv_qq = [field.one]  # 1/(q;q)_n cache
         self._half = {}  # e -> sqrt_q**e
 
     def qq(self, n):
@@ -28,6 +29,12 @@ class QContext:
             k = len(self._qq)
             self._qq.append(self._qq[-1] * (self.field.one - self.q ** k))
         return self._qq[n]
+
+    def inv_qq(self, n):
+        """1/(q;q)_n for n >= 0, each inverted once."""
+        while len(self._inv_qq) <= n:
+            self._inv_qq.append(1 / self.qq(len(self._inv_qq)))
+        return self._inv_qq[n]
 
     def qpow_half(self, twice_exponent):
         """q**(twice_exponent/2) as an integer power of sqrt_q; a negative

@@ -252,7 +252,10 @@ class Field:
         ``inverses`` swaps each pair.  A raw pair (0, d) is truthy: test
         ``wrap(v)``, not ``v``, for zero.
 
-    Code written on raw values thus runs unchanged in every field.
+    Code written on raw values thus runs unchanged in every field.  The
+    ray kernel (``series.rays_op``) runs on ``lower`` values instead,
+    which ``x % modulus`` reduces and ``lift`` turns back: residues mod
+    PRIME in GF(p), and over Q the Fractions themselves, unreduced.
     """
 
     def __init__(self, name):
@@ -265,10 +268,13 @@ class Field:
             self.raw, self.mul, self.wrap = _residue_of, _mul_mod, PrimeScalar
             self.sub, self.prod = _sub_mod, _prod_mod
             self.inverses, self.total = _inverses_mod, _total_mod
+            self.lower, self.lift, self.modulus = _residue_of, PrimeScalar, PRIME
         else:
             self.raw, self.mul, self.wrap = _pair_of, _mul_pairs, _fraction_of
             self.sub, self.prod = _sub_pairs, _prod_pairs
             self.inverses, self.total = _inverse_pairs, _total_pairs
+            self.lower = self.lift = _same
+            self.modulus = _UNREDUCED
 
     def of(self, n):
         """Embed an integer or a Fraction."""
@@ -277,6 +283,18 @@ class Field:
         if isinstance(n, Fraction):
             return PrimeScalar(n.numerator) / PrimeScalar(n.denominator)
         return PrimeScalar(n)
+
+
+def _same(x):
+    return x
+
+
+class _Unreduced:
+    def __rmod__(self, x):
+        return x  # the modulus of Q: x % _UNREDUCED is x
+
+
+_UNREDUCED = _Unreduced()
 
 
 def _residue_of(x):

@@ -8,10 +8,15 @@ is one pass over the terms that evaluates no term past the cap:
 
   * ``diagonal_op``: x^theta -> fn(theta) x^theta (Borel weights, shift
     scalings, the slot scalings of the solution series);
-  * ``ray_op``: x^nu -> x^nu + sum_n a_n q^{n w.nu/2} x^{nu+nU}, which
-    ``qexp_ray`` fills with the q-exponential (e_q or phi) of a word of
-    q-commuting letters x_i q^{(1/2) w.theta} (the chains of H) or of a
-    monomial (the Lambda and center blocks, ``eq_of_monomial``);
+  * ``rays_op``: a product of rays x^nu -> x^nu + sum_n a_n q^{n
+    w.nu/2} x^{nu+nU}, each of which ``qexp_ray`` fills with the
+    q-exponential (e_q or phi) of a word of q-commuting letters x_i
+    q^{(1/2) w.theta} (the chains of H) or of a monomial (the Lambda and
+    center blocks, ``eq_of_monomial``).  It runs on a dense vector over
+    the ``exponent_index`` of (N, cap), the exponents of degree <= cap
+    in ``all_monomials`` order, holding the field's ``lower`` form of
+    each coefficient (residues in GF(p)), one pass per ray through a
+    table of successor positions;
   * the series product pairs x^nu only with terms of degree <= cap - |nu|;
   * ``sparse_op``: x^nu -> sum c x^{nu+v} over the pairs (v, c) of
     expand(nu, cap - |nu|), for the normal-ordered operators, which
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from operator import add, mul
 
@@ -160,19 +165,19 @@ def exp_series(s):
 
 def eq_coeff(ctx, z, n):
     """Coefficient of x^n in e_q(z x): z^n / (q;q)_n."""
-    return z ** n / ctx.qq(n)
+    return z ** n * ctx.inv_qq(n)
 
 
 def phi_coeff(ctx, z, n):
     """Coefficient of x^n in phi(z x) = 1/e_q(z x):
     q^{n(n-1)/2} (-z)^n / (q;q)_n."""
-    return ctx.q ** (n * (n - 1) // 2) * (-z) ** n / ctx.qq(n)
+    return ctx.q ** (n * (n - 1) // 2) * (-z) ** n * ctx.inv_qq(n)
 
 
 def eq_of_monomial(ctx, N, cap, prefactor, xvec):
     """e_q(prefactor * x^xvec) = sum_n (pref)^n x^{n.vec} / (q;q)_n."""
-    return qexp_ray(eq_coeff, ctx, prefactor, xvec, (0,) * N, cap)(
-        MultiSeries.one(N, cap, ctx.field))
+    return rays_op([qexp_ray(eq_coeff, ctx, prefactor, xvec, (0,) * N, cap)],
+                   ctx)(MultiSeries.one(N, cap, ctx.field))
 
 
 def phi_of_monomial(ctx, N, cap, prefactor, xvec):
@@ -180,8 +185,8 @@ def phi_of_monomial(ctx, N, cap, prefactor, xvec):
 
     Inverse of ``eq_of_monomial`` with the same argument.
     """
-    return qexp_ray(phi_coeff, ctx, prefactor, xvec, (0,) * N, cap)(
-        MultiSeries.one(N, cap, ctx.field))
+    return rays_op([qexp_ray(phi_coeff, ctx, prefactor, xvec, (0,) * N, cap)],
+                   ctx)(MultiSeries.one(N, cap, ctx.field))
 
 
 # -- operators -----------------------------------------------------------
@@ -244,38 +249,76 @@ def sparse_op(expand):
     return Op(apply)
 
 
-def ray_op(U, w, coeffs, ctx):
-    """The operator  x^nu -> x^nu + sum_n coeffs[n-1] q^{n w.nu/2} x^{nu+nU}
-    for an exponent vector U of positive total degree and an integer
-    vector w, up to the cap, in one pass: the n-th term of a source term
-    is the (n-1)-th times q^{w.nu/2}, then times coeffs[n-1]."""
-    deg = sum(U)
-    if deg <= 0:
-        raise ValueError("argument must have positive total degree")
-    twisted = any(w)
+@lru_cache(maxsize=16)
+def exponent_index(N, cap):
+    """The exponents of total degree <= cap in ``all_monomials`` order,
+    and the map from each to its position in a dense vector."""
+    keys = all_monomials(N, cap)
+    return keys, {k: i for i, k in enumerate(keys)}
+
+
+@lru_cache(maxsize=512)
+def _successors(N, cap, U):
+    """Position i -> the position of keys[i] + U, or -1 past the cap."""
+    keys, pos = exponent_index(N, cap)
+    return [pos.get(tuple(map(add, k, U)), -1) for k in keys]
+
+
+@lru_cache(maxsize=512)
+def _dots(N, cap, w):
+    """Position i -> w.keys[i]."""
+    return [sum(map(mul, w, k)) for k in exponent_index(N, cap)[0]]
+
+
+def rays_op(rays, ctx):
+    """The product of the rays  x^nu -> x^nu + sum_n coeffs[n-1] q^{n
+    w.nu/2} x^{nu+nU},  one per (U, w, coeffs) in ``rays``, the rightmost
+    acting first; each U has positive total degree and w is an integer
+    vector.  The argument is lowered once onto the dense vector of its
+    ``exponent_index``, each ray is one pass over its nonzero entries
+    (the n-th term of a source is the (n-1)-th times q^{w.nu/2}, then
+    times coeffs[n-1]), and the result is lifted once."""
+    field = ctx.field
+    lower, lift, mod = field.lower, field.lift, field.modulus
+    passes = []
+    for U, w, coeffs in reversed(rays):
+        if sum(U) <= 0:
+            raise ValueError("argument must have positive total degree")
+        passes.append((tuple(U), tuple(w), [lower(a) for a in coeffs]))
 
     def apply(s):
-        out = s.copy()
-        for nu, t in s.terms.items():
-            step = ctx.qpow_half(sum(map(mul, w, nu))) if twisted else None
-            k = nu
-            for a in coeffs[:(s.cap - sum(nu)) // deg]:
-                k = tuple(map(add, k, U))
-                if twisted:
-                    t = t * step
-                add_term(out.terms, k, a * t)
+        keys, pos = exponent_index(s.N, s.cap)
+        vec = [lower(field.zero)] * len(keys)
+        for k, v in s.terms.items():
+            vec[pos[k]] = lower(v)
+        for U, w, coeffs in passes:
+            succ, wnu = _successors(s.N, s.cap, U), _dots(s.N, s.cap, w)
+            steps = {d: lower(ctx.qpow_half(d)) for d in set(wnu)}
+            out = vec[:]
+            for i, t in enumerate(vec):
+                if t and (j := succ[i]) >= 0:
+                    step = steps[wnu[i]]
+                    for a in coeffs:
+                        t = t * step % mod
+                        out[j] += a * t
+                        j = succ[j]
+                        if j < 0:
+                            break
+            vec = [v % mod for v in out]
+        out = MultiSeries(s.N, s.cap, s.field)
+        out.terms = {keys[i]: lift(v) for i, v in enumerate(vec) if v}
         return out
     return Op(apply)
 
 
 def qexp_ray(coeff, ctx, z, U, w, cap):
-    """sum_n coeff(ctx, z, n) W^n for the operator W x^nu = q^{w.nu/2}
-    x^{nu+U}, as one ``ray_op``: W^n x^nu = q^{(n w.nu + C(n,2) w.U)/2}
-    x^{nu+nU}.  With w = 0 it is multiplication by the q-exponential
-    series sum_n coeff(ctx, z, n) x^{nU} of a monomial."""
+    """The ray (U, w, coeffs) of sum_n coeff(ctx, z, n) W^n for the
+    operator W x^nu = q^{w.nu/2} x^{nu+U}: W^n x^nu = q^{(n w.nu + C(n,2)
+    w.U)/2} x^{nu+nU}.  With w = 0 it is multiplication by the
+    q-exponential series sum_n coeff(ctx, z, n) x^{nU} of a monomial."""
     wU = sum(map(mul, w, U))
-    return ray_op(U, w, [coeff(ctx, z, n) * ctx.qpow_half(n * (n - 1) // 2 * wU)
-                         for n in range(1, cap // max(sum(U), 1) + 1)], ctx)
+    return U, w, [coeff(ctx, z, n) * ctx.qpow_half(n * (n - 1) // 2 * wU)
+                  for n in range(1, cap // max(sum(U), 1) + 1)]
 
 
 def diagonal_op(fn):

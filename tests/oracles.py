@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 from qlaumon.fourd import JET_Q
 from qlaumon.jackson import (_blocks_and_norm, _perm_sign, _vandermonde,
@@ -22,7 +22,7 @@ from qlaumon.partitions import colored_counts, conjugate, enumerate_tuples
 from qlaumon.qfun import poch, single_bracket
 from qlaumon.rmatrix import norm_factor, phi_kernel, phi_kernel_masslike
 from qlaumon.scalars import Jet
-from qlaumon.series import (MultiSeries, add_term, compose, eq_coeff,
+from qlaumon.series import (MultiSeries, Op, add_term, compose, eq_coeff,
                             exponent_vectors, phi_coeff, power_sum_op,
                             sparse_op)
 
@@ -90,6 +90,33 @@ def qexp_series(coeff, ctx, N, cap, z, xvec):
         for n in range(cap // sum(xvec) + 1)})
 
 
+def ray_op(U, w, coeffs, ctx):
+    """The ray  x^nu -> x^nu + sum_n coeffs[n-1] q^{n w.nu/2} x^{nu+nU}
+    on the sparse terms, one exponent tuple per output term: the oracle
+    of one ray of ``series.rays_op``."""
+    deg = sum(U)
+    if deg <= 0:
+        raise ValueError("argument must have positive total degree")
+
+    def apply(s):
+        out = s.copy()
+        for nu, t in s.terms.items():
+            step = ctx.qpow_half(sum(map(mul, w, nu)))
+            k = nu
+            for a in coeffs[:(s.cap - sum(nu)) // deg]:
+                k = tuple(map(add, k, U))
+                t = t * step
+                add_term(out.terms, k, a * t)
+        return out
+    return Op(apply)
+
+
+def composed_rays(rays, ctx):
+    """``series.rays_op`` as the composition of one sparse ``ray_op`` per
+    ray, the rightmost acting first."""
+    return compose([ray_op(U, w, coeffs, ctx) for U, w, coeffs in rays])
+
+
 def letter_op(i, w, scale, ctx, N):
     """The letter  scale * x_i * q^{(1/2) w.theta}  (0-based position i,
     cyclic; w an integer vector).  Raises degree by one."""
@@ -141,6 +168,64 @@ def composed_chain(spec, words, letter):
                                  for j in word]),
                         len(word), sign, spec.ctx, spec.cap))
     return compose(ops)
+
+
+# -- parameter sampling (params) -----------------------------------------------
+
+
+def generic_enough_in_field(ps, bound):
+    """``params._generic_enough`` with every power and ratio taken in the
+    draw's own field (Fractions of growing height over Q): whether the
+    base parameters are pairwise distinct and outside {0, +-1}, q^a
+    kappa^c != 1 for 0 < max(|a|, |c|) <= 2 bound, and no ratio b_i/b_j
+    (i != j) is q^a kappa^c with |a|, |c| <= bound.
+
+    The second condition says that the points q^a kappa^c, |a|, |c| <=
+    bound, are distinct (it covers the sinh-bracket poles of the vector
+    multiplet denominators within the degree window, and q not a root of
+    unity); the third keeps b_i/b_j off those points.  Both are answered
+    from the powers of kappa alone, without listing the points."""
+    one = ps.field.one
+    base = [ps.q, ps.kappa] + [ps.b(i) for i in range(ps.N)] \
+        + [ps.d(i) for i in range(ps.N)] + [ps.dbar(i) for i in range(ps.N)]
+    for i, u in enumerate(base):
+        if not u or u == one or u == -one:
+            return False
+        for v in base[i + 1:]:
+            if u == v:
+                return False
+    q, kappa = ps.q, ps.kappa
+    # kappa^c for c = 0..2 bound, then the negative powers
+    kpow = [one]
+    for _ in range(2 * bound):
+        kpow.append(kpow[-1] * kappa)
+    if one in kpow[1:]:
+        return False
+    inv_kappa = 1 / kappa
+    kneg = [one]
+    for _ in range(2 * bound):
+        kneg.append(kneg[-1] * inv_kappa)
+    # q^a kappa^c = 1 with a != 0: up to the sign of (a, c), a > 0 and
+    # q^a = kappa^{-c}
+    wide = set(kpow) | set(kneg)
+    qa = one
+    for _ in range(2 * bound):
+        qa = qa * q
+        if qa in wide:
+            return False
+    # b_i/b_j = q^a kappa^c, or b_j/b_i = q^{-a} kappa^{-c}: one test per
+    # unordered pair, b_i/b_j q^{-a} against the kappa^c, |c| <= bound
+    narrow = set(kpow[:bound + 1]) | set(kneg[:bound + 1])
+    inv_q = 1 / q
+    qshift = [q ** bound]
+    for _ in range(2 * bound):
+        qshift.append(qshift[-1] * inv_q)
+    for i in range(ps.N):
+        for j in range(i + 1, ps.N):
+            r = ps.b(i) / ps.b(j)
+            if any(r * s in narrow for s in qshift):
+                return False
+    return True
 
 
 # -- partitions ----------------------------------------------------------------

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlaumon import hamiltonian
-from qlaumon.hamiltonian import (HamiltonianSpec, apply_hamiltonian,
-                                 build_blocks, center_block,
+from qlaumon import hamiltonian, scalars
+from qlaumon.hamiltonian import (HamiltonianSpec, build_blocks, center_block,
                                  check_borel_moved_triple, check_dynkin_family,
                                  check_form_equivalence,
                                  check_mass_truncated_equation, check_pentagon,
@@ -21,8 +20,8 @@ from qlaumon.scalars import RATIONAL
 from qlaumon.series import (MultiSeries, all_monomials, eq_coeff,
                             eq_of_monomial, first_disagreements, mul_op,
                             ops_agree_on_monomials, phi_coeff, phi_of_monomial,
-                            qexp_ray, ray_op, sparse_op)
-from oracles import composed_chain, qexp_series
+                            probe_series, qexp_ray, rays_op, sparse_op)
+from oracles import composed_chain, composed_rays, qexp_series
 from test_series import scan_oracles
 
 
@@ -122,6 +121,56 @@ def test_chain_rays_match_the_composed_letter_oracle(mode, N, degree):
                                N, degree, degree, f) == [None]
 
 
+def _kernel_inputs(N, cap, f):
+    """The probe, the probe with every third term taken out, the zero
+    series and each monomial at the cap."""
+    probe = probe_series(N, cap, cap, f)
+    holes = MultiSeries(N, cap, f, {k: v for n, (k, v) in enumerate(
+        sorted(probe.terms.items())) if n % 3})
+    return [probe, holes, MultiSeries.zero(N, cap, f)] + [
+        MultiSeries.monomial(N, cap, f, k, f.of(7))
+        for k in all_monomials(N, cap) if sum(k) == cap]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+@pytest.mark.parametrize("N, cap", [(2, 5), (3, 4), (4, 3), (5, 3)])
+def test_rays_op_matches_the_composed_sparse_rays(mode, N, cap):
+    """The dense kernel equals the composition of the sparse oracle rays
+    on the rays of every word list (forwards and backwards, both letter
+    directions), of the Lambda and center blocks, of a chain with a
+    Lambda ray on either side and of a q-exponential of a monomial, and
+    stores no zero."""
+    ps = sample_params(2, N, mode)
+    f = ps.field
+    spec = HamiltonianSpec(ps, "higher", cap)
+    ctx = spec.ctx
+    ray_lists = []
+    for _, _, words in _word_lists(N):
+        backwards = [(word[::-1], kind) for word, kind in reversed(words)]
+        for letter in _both_letters(spec).values():
+            ray_lists += [hamiltonian._chain_rays(spec, chain, letter)
+                          for chain in (words, backwards)]
+    lambdas = [hamiltonian._lambda_ray(spec, outer) for outer in (False, True)]
+    ray_lists += [[ray] for ray in lambdas]
+    # twisted and untwisted rays in one list, as in L and R
+    ray_lists += [ray_lists[0] + lambdas[:1], lambdas[1:] + ray_lists[1]]
+    ray_lists += [[qexp_ray(coeff, ctx, ps.d(0), (1,) + (0,) * (N - 2) + (2,),
+                            (0,) * N, cap)] for coeff in (eq_coeff, phi_coeff)]
+    pairs = [(rays_op(rays, ctx), composed_rays(rays, ctx))
+             for rays in ray_lists]
+    # the center block against one oracle ray per q-exponential
+    pairs.append((center_block(spec), composed_rays([
+        qexp_ray(eq_coeff, ctx, z, [int(p == k) for p in range(N)], [0] * N,
+                 cap) for k in range(N) for z in (ps.d(k), ps.dbar(k))],
+        ctx)))
+    inputs = _kernel_inputs(N, cap, f)
+    for op, oracle in pairs:
+        for s in inputs:
+            out = op(s)
+            assert out == oracle(s)
+            assert all(out.terms.values())
+
+
 def _k0_off_by_one(coeff, ctx, z, U, w, cap):
     """The ray of a word of letters with k0 one too large."""
     return qexp_ray(coeff, ctx, z * ctx.qpow_half(1) if any(w) else z,
@@ -130,8 +179,7 @@ def _k0_off_by_one(coeff, ctx, z, U, w, cap):
 
 def _no_quadratic_term(coeff, ctx, z, U, w, cap):
     """The ray without the power q^{C(n,2) w.U/2}."""
-    return ray_op(U, w, [coeff(ctx, z, n)
-                         for n in range(1, cap // sum(U) + 1)], ctx)
+    return U, w, [coeff(ctx, z, n) for n in range(1, cap // sum(U) + 1)]
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
@@ -172,17 +220,37 @@ def test_blocks_raise_exponents_componentwise_and_store_no_zero(
             assert all(out.terms.values()), (name, nu)
 
 
+@pytest.mark.parametrize("form, N, cap", [("higher", 4, 5), ("simple", 3, 6),
+                                          ("higher", 5, 9)])
+def test_prime_blocks_invert_once_per_qq(form, N, cap, monkeypatch):
+    # every GF(p) inversion goes through pow(r, -1, PRIME) or a negative
+    # power in the scalars module
+    inversions = []
+
+    def counted_pow(base, exp, mod=None):
+        if exp < 0:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    spec = HamiltonianSpec(sample_params(2, N, "prime"), form, cap)
+    monkeypatch.setattr(scalars, "pow", counted_pow, raising=False)
+    build_blocks(spec)
+    # 1/(q;q)_n for 0 < n <= cap, the N ratios b_i/b_{i+1} of the shift,
+    # 1/sqrt_q and q^{1-N}: none per q-exponential coefficient
+    assert len(inversions) <= cap + N + 2
+
+
 def test_hamiltonian_annihilates_zero():
     ps = sample_params(5, 2)
     spec = HamiltonianSpec(ps, "normal", 3)
-    assert apply_hamiltonian(spec, MultiSeries.zero(2, 3, ps.field)).is_zero()
+    assert hamiltonian_op(spec)(MultiSeries.zero(2, 3, ps.field)).is_zero()
 
 
 def test_rank_one_eigenfunction_through_degree_eight():
     ps = sample_params(3, 1)
     psi = gl1_closed_solution(ps, 8)
     spec = HamiltonianSpec(ps, "normal", 8)
-    assert (apply_hamiltonian(spec, psi) - psi).is_zero()
+    assert (hamiltonian_op(spec)(psi) - psi).is_zero()
 
 
 def test_three_forms_agree_on_x1():
@@ -190,8 +258,8 @@ def test_three_forms_agree_on_x1():
     outs = []
     for form in ("simple", "higher", "normal"):
         spec = HamiltonianSpec(ps, form, 3)
-        outs.append(apply_hamiltonian(
-            spec, MultiSeries.monomial(2, 3, ps.field, (1, 0))))
+        outs.append(hamiltonian_op(spec)(
+            MultiSeries.monomial(2, 3, ps.field, (1, 0))))
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -403,7 +471,7 @@ def test_verify_conjecture_detects_wrong_series():
     psi = solution_series(ps, 3)
     psi.terms[(1, 0)] = psi.get((1, 0)) + ps.field.one  # sabotage
     spec = HamiltonianSpec(ps, "normal", 3)
-    assert not (apply_hamiltonian(spec, psi) - psi).is_zero()
+    assert not (hamiltonian_op(spec)(psi) - psi).is_zero()
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from qlaumon import params
 from qlaumon.params import (GENERICITY_BOUND, ParamSet, _draw_sqrt,
                             _generic_enough, sample_params)
 from qlaumon.scalars import FIELDS, PRIME, PrimeScalar
+from oracles import generic_enough_in_field
 
 B = GENERICITY_BOUND
 
@@ -165,3 +167,26 @@ def test_sample_params_pinned():
     # recorded with the sampler that listed the whole q-kappa lattice
     assert sampler_digest("rational") == "1c7ee641ac3ad5d4db32e51b40d2d46031f2d096"
     assert sampler_digest("prime") == "c4b9f053c734277960d4e223cdac94049e848c71"
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime"])
+def test_residue_lattice_test_samples_as_the_field_test(monkeypatch, mode):
+    # the same square roots for seeds 1-40 and N = 1-5 as with every
+    # power and ratio taken in the draw's own field
+    residues = sampler_digest(mode)
+    monkeypatch.setattr(params, "_generic_enough", generic_enough_in_field)
+    assert sampler_digest(mode) == residues
+
+
+def test_a_relation_mod_p_alone_rejects_nothing():
+    # shifting a square root by PRIME keeps its square mod PRIME but not
+    # over Q: b_1/b_2 and q then sit on the lattice mod PRIME only
+    base = sample_params(3, 3, "rational")
+    sb = list(base.sqrt_b)
+    sb[0] = sb[1] * lattice_point(base, 2, -1) + PRIME
+    for ps in (with_b(base, sb),
+               with_q_kappa(base, base.sqrt_kappa ** 3 + PRIME,
+                            base.sqrt_kappa)):
+        assert _generic_enough(ps, B) and generic_enough_in_field(ps, B)
+    sb[0] = sb[1] * lattice_point(base, 2, -1)
+    assert not _generic_enough(with_b(base, sb), B)

@@ -15,7 +15,7 @@ from qlaumon.series import (MultiSeries, all_monomials, compose, delta_quadratic
                             neumann_inverse_op, normal_ordered_op,
                             ops_agree_on_monomials,
                             phi_coeff, phi_of_monomial, phi_product_normal_op,
-                            probe_series, qborel_op, ray_op, shift_scaling_op,
+                            probe_series, qborel_op, rays_op, shift_scaling_op,
                             sparse_op)
 
 from oracles import (op_qexp, op_qexp_big, qexp_series, series_inverse,
@@ -282,7 +282,7 @@ def test_phi_of_monomial_rejects_degree_zero():
     with pytest.raises(ValueError):
         eq_of_monomial(ctx, 2, 4, ps.field.one, (0, 0))
     with pytest.raises(ValueError):
-        ray_op((0, 0), (1, -1), [ps.field.one], ctx)
+        rays_op([((0, 0), (1, -1), [ps.field.one])], ctx)
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
