@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 
 # Mersenne prime 2^61 - 1; comfortably above 2^60 so degree-bounded
@@ -253,9 +253,12 @@ class Field:
         ``wrap(v)``, not ``v``, for zero.
 
     Code written on raw values thus runs unchanged in every field.  The
-    ray kernel (``series.rays_op``) runs on ``lower`` values instead,
-    which ``x % modulus`` reduces and ``lift`` turns back: residues mod
-    PRIME in GF(p), and over Q the Fractions themselves, unreduced.
+    ray kernel (``series.rays_op``) runs on integers over one common
+    denominator instead: ``split`` takes a list of scalars to their
+    numerators over the lcm of their denominators, and ``lift`` takes
+    integers over a denominator back to scalars, one Fraction (one gcd)
+    each over Q.  In GF(p) the numerators are the residues, the
+    denominator is 1 and ``lift`` reduces mod PRIME.
     """
 
     def __init__(self, name):
@@ -268,13 +271,12 @@ class Field:
             self.raw, self.mul, self.wrap = _residue_of, _mul_mod, PrimeScalar
             self.sub, self.prod = _sub_mod, _prod_mod
             self.inverses, self.total = _inverses_mod, _total_mod
-            self.lower, self.lift, self.modulus = _residue_of, PrimeScalar, PRIME
+            self.split, self.lift = _split_residues, _lift_residues
         else:
             self.raw, self.mul, self.wrap = _pair_of, _mul_pairs, _fraction_of
             self.sub, self.prod = _sub_pairs, _prod_pairs
             self.inverses, self.total = _inverse_pairs, _total_pairs
-            self.lower = self.lift = _same
-            self.modulus = _UNREDUCED
+            self.split, self.lift = _split_fractions, _lift_fractions
 
     def of(self, n):
         """Embed an integer or a Fraction."""
@@ -285,20 +287,16 @@ class Field:
         return PrimeScalar(n)
 
 
-def _same(x):
-    return x
-
-
-class _Unreduced:
-    def __rmod__(self, x):
-        return x  # the modulus of Q: x % _UNREDUCED is x
-
-
-_UNREDUCED = _Unreduced()
-
-
 def _residue_of(x):
     return x.r
+
+
+def _split_residues(values):
+    return [x.r for x in values], 1
+
+
+def _lift_residues(nums, den):
+    return list(map(PrimeScalar, nums))  # den is 1: split gives no other
 
 
 def _mul_mod(a, b):
@@ -360,6 +358,15 @@ def _inverse_pairs(values):
 
 def _fraction_of(p):
     return Fraction(p[0], p[1])
+
+
+def _split_fractions(values):
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _lift_fractions(nums, den):
+    return [Fraction(n, den) for n in nums]
 
 
 def _total_pairs(values):

@@ -14,9 +14,9 @@ is one pass over the terms that evaluates no term past the cap:
     q^{(1/2) w.theta} (the chains of H) or of a monomial (the Lambda and
     center blocks, ``eq_of_monomial``).  It runs on a dense vector over
     the ``exponent_index`` of (N, cap), the exponents of degree <= cap
-    in ``all_monomials`` order, holding the field's ``lower`` form of
-    each coefficient (residues in GF(p)), one pass per ray through a
-    table of successor positions;
+    in ``all_monomials`` order, holding integer numerators over one
+    common denominator (``Field.split``: denominator 1 in GF(p)), one
+    pass per ray through a table of successor positions;
   * the series product pairs x^nu only with terms of degree <= cap - |nu|;
   * ``sparse_op``: x^nu -> sum c x^{nu+v} over the pairs (v, c) of
     expand(nu, cap - |nu|), for the normal-ordered operators, which
@@ -265,48 +265,76 @@ def _successors(N, cap, U):
 
 
 @lru_cache(maxsize=512)
-def _dots(N, cap, w):
-    """Position i -> w.keys[i]."""
-    return [sum(map(mul, w, k)) for k in exponent_index(N, cap)[0]]
+def _ray_groups(N, cap, U, w):
+    """The positions i with a successor along U, grouped by d = w.keys[i]:
+    a list of (d, positions, reaches), the positions in order of
+    increasing degree and reaches[k] the number of steps along U that
+    positions[k] takes before the cap."""
+    keys = exponent_index(N, cap)[0]
+    groups = {}
+    for i, k in sorted(enumerate(keys), key=lambda t: sum(t[1])):
+        if reach := (cap - sum(k)) // sum(U):
+            positions, reaches = groups.setdefault(sum(map(mul, w, k)),
+                                                   ([], []))
+            positions.append(i)
+            reaches.append(reach)
+    return [(d, *members) for d, members in groups.items()]
 
 
 def rays_op(rays, ctx):
     """The product of the rays  x^nu -> x^nu + sum_n coeffs[n-1] q^{n
     w.nu/2} x^{nu+nU},  one per (U, w, coeffs) in ``rays``, the rightmost
     acting first; each U has positive total degree and w is an integer
-    vector.  The argument is lowered once onto the dense vector of its
-    ``exponent_index``, each ray is one pass over its nonzero entries
-    (the n-th term of a source is the (n-1)-th times q^{w.nu/2}, then
-    times coeffs[n-1]), and the result is lifted once."""
-    field = ctx.field
-    lower, lift, mod = field.lower, field.lift, field.modulus
+    vector.  The kernel runs on integers over one common denominator:
+    ``Field.split`` lowers the argument once onto the dense vector of its
+    ``exponent_index``.  Each ray is one pass: for each d = w.nu of a
+    nonzero source, the weights a_n q^{n d/2} of the powers n that such a
+    source reaches before the cap are split over one denominator, the
+    pass's scale, by which the vector and its denominator are multiplied;
+    each output term is then one integer product and sum, with no gcd.
+    ``Field.lift`` turns the result back once and stores no zero.  In
+    GF(p) every denominator is 1 and the lift reduces the residues."""
+    split, lift = ctx.field.split, ctx.field.lift
     passes = []
     for U, w, coeffs in reversed(rays):
         if sum(U) <= 0:
             raise ValueError("argument must have positive total degree")
-        passes.append((tuple(U), tuple(w), [lower(a) for a in coeffs]))
+        passes.append((tuple(U), tuple(w), coeffs))
 
     def apply(s):
-        keys, pos = exponent_index(s.N, s.cap)
-        vec = [lower(field.zero)] * len(keys)
-        for k, v in s.terms.items():
-            vec[pos[k]] = lower(v)
+        N, cap = s.N, s.cap
+        keys, pos = exponent_index(N, cap)
+        vec = [0] * len(keys)
+        nums, den = split(list(s.terms.values()))
+        for k, n in zip(s.terms, nums):
+            vec[pos[k]] = n
         for U, w, coeffs in passes:
-            succ, wnu = _successors(s.N, s.cap, U), _dots(s.N, s.cap, w)
-            steps = {d: lower(ctx.qpow_half(d)) for d in set(wnu)}
-            out = vec[:]
-            for i, t in enumerate(vec):
-                if t and (j := succ[i]) >= 0:
-                    step = steps[wnu[i]]
-                    for a in coeffs:
-                        t = t * step % mod
-                        out[j] += a * t
-                        j = succ[j]
-                        if j < 0:
-                            break
-            vec = [v % mod for v in out]
-        out = MultiSeries(s.N, s.cap, s.field)
-        out.terms = {keys[i]: lift(v) for i, v in enumerate(vec) if v}
+            succ = _successors(N, cap, U)
+            work = []
+            for d, positions, reaches in _ray_groups(N, cap, U, w):
+                for i, top in zip(positions, reaches):
+                    if vec[i]:
+                        work.append((positions, [
+                            a * ctx.qpow_half(n * d)
+                            for n, a in enumerate(coeffs[:top], 1)]))
+                        break
+            nums, scale = split([c for _, cs in work for c in cs])
+            out = [v * scale for v in vec]
+            k = 0
+            for positions, cs in work:
+                weights = nums[k:k + len(cs)]
+                k += len(cs)
+                for i in positions:
+                    if t := vec[i]:
+                        j = succ[i]
+                        for c in weights:
+                            out[j] += c * t
+                            j = succ[j]
+                            if j < 0:
+                                break
+            vec, den = out, den * scale
+        out = MultiSeries(N, cap, s.field)
+        out.terms = {k: c for k, c in zip(keys, lift(vec, den)) if c}
         return out
     return Op(apply)
 

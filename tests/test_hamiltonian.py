@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -168,6 +169,86 @@ def test_rays_op_matches_the_composed_sparse_rays(mode, N, cap):
         for s in inputs:
             out = op(s)
             assert out == oracle(s)
+            assert all(out.terms.values())
+
+
+def _block_oracles(spec):
+    """L, C and R of ``build_blocks``, each with the composition of the
+    sparse oracle rays of its ray list (C with one ray per q-exponential)."""
+    ps, N, ctx = spec.params, spec.N, spec.ctx
+    backwards = [(word[::-1], kind)
+                 for word, kind in reversed(hamiltonian._block_words(spec))]
+    left_rays = hamiltonian._chain_rays(
+        spec, backwards, hamiltonian._twisted(spec, -1, [ps.field.one] * N)
+    ) + [hamiltonian._lambda_ray(spec)]
+    right_rays = [hamiltonian._lambda_ray(spec, outer=True)] + \
+        hamiltonian._chain_rays(spec, hamiltonian._block_words(spec),
+                                hamiltonian._twisted(
+                                    spec, +1, hamiltonian._hat_scales(spec)))
+    center_rays = [qexp_ray(eq_coeff, ctx, z, [int(p == k) for p in range(N)],
+                            [0] * N, spec.cap)
+                   for k in range(N) for z in (ps.d(k), ps.dbar(k))]
+    left, center, right = build_blocks(spec)[:3]
+    return [(op, composed_rays(rays, ctx)) for op, rays in (
+        (left, left_rays), (center, center_rays), (right, right_rays))]
+
+
+def _primes_below(n, count):
+    """The ``count`` largest primes below n."""
+    out = []
+    while len(out) < count:
+        n -= 1
+        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
+            out.append(n)
+    return out
+
+
+def _tall_fractions(N, cap, rng, shared):
+    """Every exponent up to the cap with a random Fraction of height up to
+    10^6: the denominators products of the prime powers of 720720 (shared
+    factors) or distinct primes (pairwise coprime)."""
+    keys = all_monomials(N, cap)
+    if shared:
+        powers = [16, 9, 5, 7, 11, 13]
+        dens = [prod(rng.sample(powers, rng.randint(1, 6))) for _ in keys]
+    else:
+        dens = _primes_below(10 ** 6, len(keys))
+    return MultiSeries(N, cap, RATIONAL, {k: Fraction(
+        rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), d)
+        for k, d in zip(keys, dens)})
+
+
+@pytest.mark.parametrize("form", ["higher", "simple"])
+@pytest.mark.parametrize("N, cap", [(2, 9), (3, 6), (4, 5)])
+def test_rays_op_over_q_at_real_heights(form, N, cap):
+    """Over Q the kernel, integers over one common denominator, equals the
+    composed sparse oracle rays for L, C and R of ``build_blocks`` on the
+    solution series of the verify-rational draws (parameter seeds 3-5),
+    on random Fractions of height up to 10^6 with shared and with coprime
+    denominators, and on a source whose image cancels at one exponent,
+    where it stores no zero."""
+    rng = random.Random("kernel heights %d %d" % (N, cap))
+    for pseed in (3, 4, 5):
+        spec = HamiltonianSpec(sample_params(pseed, N, "rational"), form, cap)
+        psi = solution_series(spec.params, cap)
+        inputs = [psi]
+        if pseed == 3:
+            inputs += [_tall_fractions(N, cap, rng, shared)
+                       for shared in (True, False)]
+        for op, oracle in _block_oracles(spec):
+            for s in inputs:
+                out = op(s)
+                assert out == oracle(s)
+                assert all(out.terms.values())
+            # psi minus the image's coefficient at e times x^e: op keeps
+            # x^e's own coefficient 1, so the image vanishes at e
+            e = sorted(all_monomials(N, cap // 2))[-1]
+            c = op(psi).get(e)
+            assert c
+            cancel = psi - MultiSeries.monomial(N, cap, RATIONAL, e, c)
+            out = op(cancel)
+            assert e not in out.terms
+            assert out == oracle(cancel)
             assert all(out.terms.values())
 
 
