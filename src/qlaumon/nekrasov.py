@@ -15,18 +15,17 @@ denominator is nonzero for the generic parameter sets produced by
 ``params.sample_params``.
 
 A build of the partition function comes in two parts.  The skeleton
-(``instanton_skeleton``) reads no parameter and no field: the tuples and
-their exponents, the ids of each tuple's N^2 vector-multiplet (dd)
-factors and N slot numerators, and each distinct factor's argument,
-partitions and row plan, the indices of the single factors (a, f) its
-row walk multiplies.  It is made once per (N, cap) and cached, in flat
-arrays of small ints.  The evaluation (``skeleton_sum``) runs per
-parameter set: each argument's single factors in one pass (brackets
-[u q^{a/2} kappa^{f/2}], or 1 - u q^a kappa^f, with all the inverses of
-an argument's brackets taken at once), each distinct factor once as a
-product over its plan (sinh factors through ``nek_sinh``), each slot
-numerator and each tuple's dd product once, one batch inversion of the
-tuple denominators, and one sum per exponent.  The four-dimensional limit
+(``instanton_skeleton``), made once per (N, cap) and cached, reads no
+parameter and no field: the tuples, their exponents, and plans, flat
+arrays of the ids of single-factor keys (a, f), one per diagonal
+vector-multiplet factor, per slot numerator and per tuple's off-diagonal
+vector-multiplet factors.  The argument of a diagonal pair (x/x, its
+square or x - x) is the same at every slot, so one key table serves all
+N of them.  The evaluation (``skeleton_sum``) runs per parameter set:
+all single factors in one list (brackets [u q^{a/2} kappa^{f/2}], or
+1 - u q^a kappa^f), one product per plan (the diagonals through
+``nek_sinh``), one batch inversion of the diagonals and tuple products,
+and one sum per exponent.  The four-dimensional limit
 (``fourd.laumon_4d``) is the same evaluation with the additive exponent
 E + a + f eps as its single factor.  Values are held in the field's raw
 form (``scalars.Field``): plain residues in GF(p), and over Q
@@ -40,8 +39,9 @@ plain per-tuple product of the box-indexed factors (``tuple_weights``,
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import truediv
 
 from .partitions import (colored_counts, conjugate, enumerate_tuples, part,
@@ -147,10 +147,9 @@ def nek_sinh(k, N, lam, mu, sqrt_u, nc, singles=None, plan=None):
     the product over t < n of the single brackets
     [u q^{(e+t)/2} kappa^{f/2}], one per key (e + t, f) of ``_row_keys``.
 
-    With ``plan``, the row walk was done beforehand
-    (``instanton_skeleton``): ``singles`` is then the list of the raw
-    single brackets of the argument sqrt_u and ``plan`` the indices into
-    it of this factor's brackets, and the factor is their product.
+    With ``plan``, the row walk was done beforehand (``skeleton_sum``):
+    the factor is the product of the raw single brackets ``singles`` at
+    the ids ``plan``.
     """
     field = nc.field
     if plan is not None:
@@ -208,106 +207,102 @@ def nek_poch_box(k, N, lam, mu, u, nc):
 
 class InstantonSkeleton:
     """The part of the instanton sum at (N, cap) that reads no parameter
-    and no field; built by ``instanton_skeleton``, read by
-    ``skeleton_sum``.  Everything is a flat ``array`` of small ints.  One
-    skeleton is shared through the cache by every build at (N, cap), so
-    it is only ever read.
+    and no field, in flat ``array``s of small ints; made once per (N,
+    cap) by ``instanton_skeleton`` and only ever read (``skeleton_sum``).
 
-    The 3 N^2 pair arguments are numbered g = r N^2 + i N + j with role r
-    = 0 (n1: x_a[i], x_b[j]), 1 (n2: x_b[i], x_c[j]) or 2 (dd: x_b[i],
-    x_b[j]), color (j - i) mod N.  Partitions are numbered by their index
-    in ``parts`` (``partitions_up_to(cap)``, so 0 is the empty one).
+    The 3 N^2 pair arguments are g = r N^2 + i N + j, role r = 0 (n1:
+    x_a[i], x_b[j]), 1 (n2: x_b[i], x_c[j]) or 2 (dd: x_b[i], x_b[j]),
+    color (j - i) mod N; the N diagonal ones share the keys of g = 2 N^2.
+    Partition l is ``parts[l]`` (``partitions_up_to(cap)``).  A plan is a
+    list of the key ids of the row walks (``_row_keys``) of its factors.
 
-      * argument g: the single-factor keys (a, f) its factors read, in
-        first-read order, at ``key_a`` and ``key_f``
-        [``key_bounds[g]``:``key_bounds[g + 1]``] (``keys_of``);
-      * factor f: its argument ``fac_arg[f]``, its partitions
-        ``fac_lam[f]`` and ``fac_mu[f]``, and its row plan
-        ``plan[plan_bounds[f]:plan_bounds[f + 1]]``, the indices into
-        the keys of its argument of the single factors the row walk
-        (``_row_keys``) multiplies;
-      * slot numerator s = p P + l (slot p, partition l): its 2 N
-        factors, n1 (i, p) on ((), lam) then n2 (p, j) on (lam, ()), are
-        the factors 2 N s to 2 N (s + 1) - 1;
+      * argument g: its keys (a, f) have the ids ``key_bounds[g]`` to
+        ``key_bounds[g + 1] - 1``, and sit there in ``key_a``, ``key_f``;
+      * diagonal l: the color-0 dd factor on (lam, lam), lam = parts[l],
+        at ``diag[diag_bounds[l]:diag_bounds[l + 1]]``;
+      * slot numerator s = p P + l: n1 (i, p) on ((), lam) and n2 (p, i)
+        on (lam, ()) for all i, at ``num[num_bounds[s]:num_bounds[s + 1]]``;
       * tuple t, in ``enumerate_tuples`` order: its slot numerators at
-        ``slots[N t:N (t + 1)]`` and its dd factors (i, j), row-major, at
-        ``dd[N^2 t:N^2 (t + 1)]``;
-      * exponent e, in first-occurrence order: its N colored counts at
-        ``exps[N e:N (e + 1)]`` and its tuples
-        ``by_exp[exp_bounds[e]:exp_bounds[e + 1]]``.
+        ``slots[N t:N (t + 1)]``, and its off-diagonal dd factors (i, j),
+        row-major, at ``off[off_bounds[t]:off_bounds[t + 1]]``;
+      * exponent e, in first-occurrence order: colored counts ``exps[N e:
+        N (e + 1)]``, tuples ``by_exp[exp_bounds[e]:exp_bounds[e + 1]]``.
     """
 
-    __slots__ = ("N", "parts", "key_a", "key_f", "key_bounds", "fac_arg",
-                 "fac_lam", "fac_mu", "plan", "plan_bounds", "slots", "dd",
-                 "exps", "by_exp", "exp_bounds")
+    __slots__ = ("N", "parts", "key_a", "key_f", "key_bounds", "diag",
+                 "diag_bounds", "num", "num_bounds", "slots", "off",
+                 "off_bounds", "exps", "by_exp", "exp_bounds")
 
     def keys_of(self, g):
         """The keys of argument g: the arrays of their a and of their f."""
         lo, hi = self.key_bounds[g], self.key_bounds[g + 1]
         return self.key_a[lo:hi], self.key_f[lo:hi]
 
-    def tuple_at(self, t):
-        """Tuple t of partitions."""
-        N, P = self.N, len(self.parts)
-        return tuple(self.parts[s - p * P]
-                     for p, s in enumerate(self.slots[N * t:N * (t + 1)]))
-
 
 @lru_cache(maxsize=16)
 def instanton_skeleton(N, cap):
-    """The ``InstantonSkeleton`` of the instanton sum at (N, cap): tuples,
-    exponents, factor ids and row plans, made once per (N, cap) by one
-    pass of the row walk over each distinct factor."""
+    """The ``InstantonSkeleton`` at (N, cap).  Keys get ids in the order
+    first read, renumbered by argument at the end; an off-diagonal dd
+    factor is walked once, and a later tuple with it copies its plan."""
     sk = InstantonSkeleton()
     sk.N = N
     sk.parts = parts = tuple(partitions_up_to(cap))
     P, M = len(parts), N * N
     pid = {lam: l for l, lam in enumerate(parts)}
-    keys = [{} for _ in range(3 * M)]
-    ids = {}
-    fac_arg, fac_lam, fac_mu = array("i"), array("i"), array("i")
-    plan, bounds = array("i"), array("i", [0])
+    new_id = count().__next__
+    ids = [defaultdict(new_id) for _ in range(3 * M)]
+    # a key (a, f) of two partitions of at most cap boxes has -cap <= a,
+    # f < cap, so 2 bytes hold every id while 12 N^2 cap^2 <= 2^16
+    code = "H" if 12 * M * cap * cap <= 1 << 16 else "I"
 
-    def factor(g, l, m):
-        f = ids.get((g * P + l) * P + m)
-        if f is None:
-            f = ids[(g * P + l) * P + m] = len(fac_arg)
-            fac_arg.append(g)
-            fac_lam.append(l)
-            fac_mu.append(m)
-            at = keys[g]
-            plan.extend(at.setdefault(key, len(at)) for key in _row_keys(
-                (g % N - g // N) % N, N, parts[l], parts[m]))
-            bounds.append(len(plan))
-        return f
+    def walk(plan, g, l, m):
+        plan.extend(map(ids[g].__getitem__, _row_keys(
+            (g % N - g // N) % N, N, parts[l], parts[m])))
+        return len(plan)
 
+    diag, num, off = array(code), array(code), array(code)
+    diag_bounds = [0] + [walk(diag, 2 * M, l, l) for l in range(P)]
+    num_bounds = [0]
     for p in range(N):
         for l in range(P):
             for i in range(N):
-                factor(i * N + p, 0, l)
-            for j in range(N):
-                factor(M + p * N + j, l, 0)
-
-    exp_ids = {}
-    slots, dd, texp = array("i"), array("i"), array("i")
-    for tup in enumerate_tuples(N, cap):
+                walk(num, i * N + p, 0, l)
+                walk(num, M + p * N + i, l, 0)
+            num_bounds.append(len(num))
+    pairs = [(i, j, 2 * M + i * N + j)
+             for i in range(N) for j in range(N) if i != j]
+    # a dd factor recurs in other tuples only through the slots outside
+    # its pair, so at N = 2 none is kept
+    keep, seen, by_exp = N > 2, {}, {}
+    slots, off_bounds = array("i"), array("I", [0])
+    for t, tup in enumerate(enumerate_tuples(N, cap)):
         ls = [pid[lam] for lam in tup]
         slots.extend([p * P + l for p, l in enumerate(ls)])
-        dd.extend([factor(2 * M + i * N + j, ls[i], ls[j])
-                   for i in range(N) for j in range(N)])
-        texp.append(exp_ids.setdefault(colored_counts(tup, N), len(exp_ids)))
-    counts = [0] * len(exp_ids)
-    for e in texp:
-        counts[e] += 1
-    sk.exps = _packed([c for exp in exp_ids for c in exp])
-    sk.by_exp = _packed(sorted(range(len(texp)), key=texp.__getitem__))
-    sk.exp_bounds = _packed(list(accumulate(counts, initial=0)))
-    sk.fac_arg, sk.fac_lam, sk.fac_mu = map(_packed, (fac_arg, fac_lam, fac_mu))
-    sk.plan, sk.plan_bounds = _packed(plan), _packed(bounds)
-    sk.slots, sk.dd = _packed(slots), _packed(dd)
-    sk.key_a = _packed([a for at in keys for a, _ in at])
-    sk.key_f = _packed([f for at in keys for _, f in at])
-    sk.key_bounds = _packed(list(accumulate(map(len, keys), initial=0)))
+        for i, j, g in pairs:
+            key = (g * P + ls[i]) * P + ls[j]
+            span = seen.get(key)
+            if span is None:
+                span = len(off), walk(off, g, ls[i], ls[j])
+                if keep:
+                    seen[key] = span
+            else:
+                off.extend(off[span[0]:span[1]])
+        off_bounds.append(len(off))
+        by_exp.setdefault(colored_counts(tup, N), []).append(t)
+    sk.exps = _packed([c for exp in by_exp for c in exp])
+    sk.by_exp = _packed([t for ts in by_exp.values() for t in ts])
+    sk.exp_bounds = _packed(list(accumulate(map(len, by_exp.values()),
+                                            initial=0)))
+    renumbered = [0] * sum(map(len, ids))
+    for new, old in enumerate(old for at in ids for old in at.values()):
+        renumbered[old] = new
+    sk.diag, sk.num, sk.off = (array(code, map(renumbered.__getitem__, plan))
+                               for plan in (diag, num, off))
+    sk.diag_bounds, sk.num_bounds, sk.off_bounds, sk.slots = map(
+        _packed, (diag_bounds, num_bounds, off_bounds, slots))
+    sk.key_a = _packed([a for at in ids for a, _ in at])
+    sk.key_f = _packed([f for at in ids for _, f in at])
+    sk.key_bounds = _packed(list(accumulate(map(len, ids), initial=0)))
     return sk
 
 
@@ -328,53 +323,50 @@ def skeleton_sum(N, cap, field, argument, singles, xa, xb, xc, factor=None):
     """The instanton sum at (N, cap) over ``field``, evaluated on its
     skeleton (``instanton_skeleton``) for one parameter set.
 
-    ``argument(x, y)`` forms the argument of a pair from two parameters;
-    ``singles(u, keys)`` returns the raw single factors of the argument u
-    at the keys (a, f), as a list; ``factor(k, N, lam, mu, u,
-    singles=values, plan=plan)``, if given, returns the raw color-k factor
-    of (lam, mu) at u from the list ``values`` of its argument's single
-    factors and its plan (``nek_sinh``'s form), and defaults to the
-    product over the plan.  The weight of a tuple is the
-    product over slot pairs (i, j) of n1 n2 / dd as in ``pair_weights``,
-    which stays the oracle: each distinct factor is evaluated once, each
-    slot numerator and each tuple's dd product once, the tuple
-    denominators are inverted together (``Field.inverses``) and the
-    weights of each exponent summed with ``Field.total``.  A vanishing dd
-    product raises DegenerateParameters with the first such tuple and its
-    first zero pair in row-major order, as ``pair_weights`` does."""
+    ``argument(x, y)`` forms the argument of a pair, one value on all
+    diagonal pairs (x, x) (else ValueError); ``singles(u, keys)`` returns
+    the raw single factors of the argument u at the keys (a, f), as a
+    list; ``factor(0, N, lam, lam, u, singles=values, plan=plan)``, if
+    given, makes a diagonal from the list of all single factors and its
+    plan (``nek_sinh``'s form).  Each product is one ``Field.prod`` over a
+    plan, and one batch inverts the diagonals and the tuple products.  A
+    slot weight is its numerator over its diagonal, a tuple weight the
+    product of its slot weights over its off-diagonal product: the product
+    over slot pairs (i, j) of n1 n2 / dd of ``pair_weights``, the oracle,
+    with whose tuple and pair a vanishing dd product raises
+    DegenerateParameters (``_degenerate``)."""
     sk = instanton_skeleton(N, cap)
-    prod, parts = field.prod, sk.parts
+    M, P, prod = N * N, len(sk.parts), field.prod
     args = [argument(x, y) for xs, ys in ((xa, xb), (xb, xc), (xb, xb))
             for x in xs for y in ys]
-    values = [singles(u, zip(*sk.keys_of(g))) for g, u in enumerate(args)]
-    plan, bounds = sk.plan, sk.plan_bounds
-    if factor is None:
-        fac = [prod(map(values[g].__getitem__, plan[bounds[f]:bounds[f + 1]]))
-               for f, g in enumerate(sk.fac_arg)]
-    else:
-        fac = [factor((g % N - g // N) % N, N, parts[l], parts[m], args[g],
-                      singles=values[g], plan=plan[bounds[f]:bounds[f + 1]])
-               for f, (g, l, m) in enumerate(zip(sk.fac_arg, sk.fac_lam,
-                                                 sk.fac_mu))]
-    get, M, two = fac.__getitem__, N * N, 2 * N
-    slots, dd = sk.slots, sk.dd
-    numerators = [prod(fac[two * s:two * (s + 1)])
-                  for s in range(N * len(parts))]
-    T = len(slots) // N
-    dens = [prod(map(get, dd[M * t:M * (t + 1)])) for t in range(T)]
+    u = args[2 * M]
+    if any(args[2 * M + i * (N + 1)] != u for i in range(1, N)):
+        raise ValueError("the diagonal pairs have different arguments")
+    values = []
+    for g, x in enumerate(args):
+        values += singles(x, zip(*sk.keys_of(g)))
+    get = values.__getitem__
+
+    def products(plan, bounds):
+        return [prod(map(get, plan[bounds[r]:bounds[r + 1]]))
+                for r in range(len(bounds) - 1)]
+
+    d, db = sk.diag, sk.diag_bounds
+    diag = products(d, db) if factor is None else [
+        factor(0, N, lam, lam, u, singles=values, plan=d[db[l]:db[l + 1]])
+        for l, lam in enumerate(sk.parts)]
+    off = products(sk.off, sk.off_bounds)
     try:
-        inv = field.inverses(dens)
+        inv = field.inverses(diag + off)
     except ZeroDivisionError:
-        wrap = field.wrap
-        for t, den in enumerate(dens):
-            if not wrap(den):
-                c = next(c for c in range(M) if not wrap(fac[dd[M * t + c]]))
-                raise DegenerateParameters(sk.tuple_at(t),
-                                           (c // N + 1, c % N + 1))
+        _degenerate(sk, field, values, diag, off)
         raise
-    nget, mul = numerators.__getitem__, field.mul
-    weights = [mul(prod(map(nget, slots[N * t:N * (t + 1)])), v)
-               for t, v in enumerate(inv)]
+    mul, slots = field.mul, sk.slots
+    slot = [mul(v, inv[s % P])
+            for s, v in enumerate(products(sk.num, sk.num_bounds))]
+    sget = slot.__getitem__
+    weights = [mul(prod(map(sget, slots[N * t:N * (t + 1)])), v)
+               for t, v in enumerate(inv[P:])]
     out = MultiSeries.zero(N, cap, field)
     total, by_exp, eb, exps = field.total, sk.by_exp, sk.exp_bounds, sk.exps
     for e in range(len(eb) - 1):
@@ -382,6 +374,28 @@ def skeleton_sum(N, cap, field, argument, singles, xa, xb, xc, factor=None):
         if v:
             out.terms[tuple(exps[N * e:N * (e + 1)])] = v
     return out
+
+
+def _degenerate(sk, field, values, diag, off):
+    """Raise DegenerateParameters at the first tuple whose dd product
+    vanishes, with its first zero pair in row-major order: a diagonal pair
+    reads its diagonal, an off-diagonal one is walked again
+    (``_row_keys``) on its argument's keys."""
+    N, P, wrap = sk.N, len(sk.parts), field.wrap
+    for t, v in enumerate(off):
+        ls = [s % P for s in sk.slots[N * t:N * (t + 1)]]
+        if wrap(v) and all(wrap(diag[l]) for l in ls):
+            continue
+        for c in range(N * N):
+            i, j = divmod(c, N)
+            g = 2 * N * N + c
+            ids = dict(zip(zip(*sk.keys_of(g)), count(sk.key_bounds[g])))
+            v = diag[ls[i]] if i == j else field.prod(
+                values[ids[key]] for key in _row_keys(
+                    (j - i) % N, N, sk.parts[ls[i]], sk.parts[ls[j]]))
+            if not wrap(v):
+                raise DegenerateParameters(
+                    tuple(sk.parts[l] for l in ls), (i + 1, j + 1))
 
 
 def laumon_partition_function(lp, cap, kind="sinh"):
@@ -392,22 +406,23 @@ def laumon_partition_function(lp, cap, kind="sinh"):
 
     It is ``skeleton_sum`` on the arguments of ``tuple_weights``, with the
     row-form factors in place of its box-form ones: the sinh single
-    brackets [x] = 1/x - x of x = sqrt_u q^{a/2} kappa^{f/2},
-    all x of an argument inverted at once, each factor made by
-    ``nek_sinh`` from its plan; or the Pochhammer single factors
-    1 - u q^a kappa^f."""
+    brackets [x] = 1/x - x of x = sqrt_u q^{a/2} kappa^{f/2}, made from
+    the raw powers and all x of an argument inverted at once, each
+    diagonal made by ``nek_sinh`` from its plan; or the Pochhammer single
+    factors 1 - u q^a kappa^f."""
     N, nc = lp.N, lp.nc
     field = nc.field
     qpow, kpow, raw = nc.qctx.qpow_half, nc.kctx.qpow_half, field.raw
     if kind == "sinh":
-        sub, inverses = field.sub, field.inverses
+        sub, mul, inverses = field.sub, field.mul, field.inverses
 
         def singles(sqrt_u, keys):
-            xs = [raw(sqrt_u * qpow(a) * kpow(f)) for a, f in keys]
+            u = raw(sqrt_u)
+            xs = [mul(mul(u, raw(qpow(a))), raw(kpow(f))) for a, f in keys]
             return list(map(sub, inverses(xs), xs))
 
         # the module global, looked up per build: a wrapper installed on
-        # nek_sinh sees every factor
+        # nek_sinh sees every diagonal factor
         return skeleton_sum(N, cap, field, truediv, singles, lp.sqrt_a,
                             lp.sqrt_b, lp.sqrt_c, partial(nek_sinh, nc=nc))
     one = field.one

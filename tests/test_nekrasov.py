@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 import pytest
 
@@ -458,12 +459,25 @@ def test_skeleton_sum_matches_per_tuple_sum(N, cap, kind, mode):
         oracle_partition_function(lp, cap, kind)
 
 
+def oracles_degenerate_tuple(bad):
+    """The tuple and pair that the oracle and the skeleton both report."""
+    with pytest.raises(DegenerateParameters) as want:
+        oracle_partition_function(bad, 3, "sinh")
+    with pytest.raises(DegenerateParameters) as got:
+        laumon_partition_function(bad, 3, "sinh")
+    assert (got.value.tup, got.value.pair) == (want.value.tup, want.value.pair)
+    return want.value.tup, want.value.pair
+
+
 @pytest.mark.parametrize("mode", ["rational", "prime"])
 def test_skeleton_reports_the_oracles_degenerate_tuple(mode):
-    # b_i / b_j chosen so that one single bracket of the dd argument (i, j)
-    # is [1] = 0: the first tuple in enumeration order whose dd product
-    # vanishes, and its first zero pair in row-major order, as the oracle
-    seen = set()
+    # one single bracket of a dd argument is [1] = 0: the first tuple in
+    # enumeration order whose dd product vanishes, and its first zero pair
+    # in row-major order, as the oracle.  Off the diagonal b_i / b_j is
+    # chosen for it.  On the diagonal, where the argument is 1, kappa is
+    # chosen so that q^a kappa^f = 1 for a key (a, f) of the shared table,
+    # alone and with a zero of the pair (1, 2) as well
+    off_diagonal, diagonal, both = set(), set(), set()
     for N in (2, 3):
         sk = instanton_skeleton(N, 3)
         for i in range(N):
@@ -477,41 +491,58 @@ def test_skeleton_reports_the_oracles_degenerate_tuple(mode):
                     sqrt_b = list(lp.sqrt_b)
                     sqrt_b[i] = sqrt_b[j] / (nc.qctx.qpow_half(ka[t])
                                              * nc.kctx.qpow_half(kf[t]))
-                    bad = LaumonParams(N, nc, lp.sqrt_a, sqrt_b, lp.sqrt_c)
-                    with pytest.raises(DegenerateParameters) as want:
-                        oracle_partition_function(bad, 3, "sinh")
-                    with pytest.raises(DegenerateParameters) as got:
-                        laumon_partition_function(bad, 3, "sinh")
-                    assert (got.value.tup, got.value.pair) == \
-                        (want.value.tup, want.value.pair), (N, i, j, t)
-                    seen.add((want.value.tup, want.value.pair))
-    assert len(seen) > 10  # the cases differ in tuple or pair
+                    off_diagonal.add(oracles_degenerate_tuple(
+                        LaumonParams(N, nc, lp.sqrt_a, sqrt_b, lp.sqrt_c)))
+        ka, kf = sk.keys_of(2 * N * N + 1)
+        for a, f in zip(*sk.keys_of(2 * N * N)):
+            if not f or a % f:
+                continue
+            lp = random_lp(3, N, mode)
+            nc = NekContext(lp.nc.sqrt_q, lp.nc.sqrt_q ** (-a // f),
+                            lp.nc.field)
+            assert nc.q ** a * nc.kappa ** f == nc.field.one
+            diagonal.add(oracles_degenerate_tuple(
+                LaumonParams(N, nc, lp.sqrt_a, lp.sqrt_b, lp.sqrt_c)))
+            for t in (0, len(ka) - 1):
+                sqrt_b = list(lp.sqrt_b)
+                sqrt_b[0] = sqrt_b[1] / (nc.qctx.qpow_half(ka[t])
+                                         * nc.kctx.qpow_half(kf[t]))
+                both.add(oracles_degenerate_tuple(
+                    LaumonParams(N, nc, lp.sqrt_a, sqrt_b, lp.sqrt_c)))
+    # the cases differ in tuple or pair
+    assert len(off_diagonal) > 10 and len(diagonal) > 1
+    assert all(i != j for _, (i, j) in off_diagonal)
+    assert all(i == j for _, (i, j) in diagonal)
+    assert {i == j for _, (i, j) in both} == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
 @pytest.mark.parametrize("kind", ["sinh", "poch"])
 @pytest.mark.parametrize("N,cap", [(2, 4), (3, 3)])
 def test_oracle_catches_a_wrong_row_walk(N, cap, kind, mode, monkeypatch):
-    # negative control: the kappa exponent of one key of one factor moves,
-    # the vector multiplet of ((1,), (1,)) at color 0, so Z is wrong; the
-    # box-form oracle walks no rows and must see it
+    # negative control: the kappa exponent of one key of one factor
+    # moves, so Z is wrong; the box-form oracle walks no rows and must see
+    # it.  The color-0 factor of ((1,), (1,)) is a diagonal, the color-1
+    # factor of ((1, 1), (1,)) an off-diagonal dd pair of a tuple plan
     row_keys = nekrasov._row_keys
-
-    def shifted(k, N_, lam, mu):
-        keys = list(row_keys(k, N_, lam, mu))
-        if (k, lam, mu) == (0, (1,), (1,)):
-            a, f = keys[0]
-            keys[0] = a, f + 1
-        return iter(keys)
-
     lp = random_lp(8, N, mode)
-    instanton_skeleton.cache_clear()
-    monkeypatch.setattr(nekrasov, "_row_keys", shifted)
-    try:
-        assert laumon_partition_function(lp, cap, kind) != \
-            oracle_partition_function(lp, cap, kind)
-    finally:
+    want = oracle_partition_function(lp, cap, kind)
+    for moved in ((0, (1,), (1,)), (1, (1, 1), (1,))):
+        def shifted(k, N_, lam, mu):
+            keys = list(row_keys(k, N_, lam, mu))
+            if (k, lam, mu) == moved:
+                a, f = keys[0]
+                keys[0] = a, f + 1
+            return iter(keys)
+
         instanton_skeleton.cache_clear()
+        monkeypatch.setattr(nekrasov, "_row_keys", shifted)
+        try:
+            assert laumon_partition_function(lp, cap, kind) != want, moved
+        finally:
+            monkeypatch.undo()
+            instanton_skeleton.cache_clear()
+    assert laumon_partition_function(lp, cap, kind) == want
 
 
 def test_cached_skeleton_keeps_no_parameter_state():
@@ -532,35 +563,54 @@ def test_cached_skeleton_keeps_no_parameter_state():
 
 @pytest.mark.parametrize("mode", ["rational", "prime"])
 def test_nek_sinh_with_plan_matches_row_walk_and_box_form(mode):
-    # every factor of the skeleton at (3, 4), from its plan and single
-    # brackets evaluated one by one, against the row walk and box form
+    # every plan of the skeleton at (3, 4), read by nek_sinh from single
+    # brackets evaluated one by one, against the product of the box-form
+    # factors it stands for: each diagonal (also against the row walk),
+    # each slot numerator and each tuple's off-diagonal dd factors
     lp = random_lp(5, 3, mode)
-    nc, N = lp.nc, 3
-    raw, wrap = nc.field.raw, nc.field.wrap
-    sk = instanton_skeleton(N, 4)
+    nc, N, M, cap = lp.nc, 3, 9, 4
+    raw, wrap, one = nc.field.raw, nc.field.wrap, nc.field.one
+    sk = instanton_skeleton(N, cap)
+    P = len(sk.parts)
     xs = [(x, y) for xs_, ys in ((lp.sqrt_a, lp.sqrt_b), (lp.sqrt_b, lp.sqrt_c),
                                  (lp.sqrt_b, lp.sqrt_b))
           for x in xs_ for y in ys]
     singles = []
     for g, (x, y) in enumerate(xs):
-        ka, kf = sk.keys_of(g)
-        su = x / y
-        singles.append([raw(single_bracket(su * nc.qctx.qpow_half(a)
-                                           * nc.kctx.qpow_half(f)))
-                        for a, f in zip(ka, kf)])
-    for f, (g, l, m) in enumerate(zip(sk.fac_arg, sk.fac_lam, sk.fac_mu)):
+        singles += [raw(single_bracket(x / y * nc.qctx.qpow_half(a)
+                                       * nc.kctx.qpow_half(f)))
+                    for a, f in zip(*sk.keys_of(g))]
+
+    def planned(plan, bounds, r):
+        return wrap(nek_sinh(0, N, (), (), one, nc, singles,
+                             plan[bounds[r]:bounds[r + 1]]))
+
+    def box(g, lam, mu):
         x, y = xs[g]
-        k, lam, mu = (g % N - g // N) % N, sk.parts[l], sk.parts[m]
-        plan = sk.plan[sk.plan_bounds[f]:sk.plan_bounds[f + 1]]
-        got = wrap(nek_sinh(k, N, lam, mu, x / y, nc, singles[g], plan))
-        assert got == wrap(nek_sinh(k, N, lam, mu, x / y, nc))
-        assert got == nek_sinh_box(k, N, lam, mu, x / y, nc)
+        return nek_sinh_box((g % N - g // N) % N, N, lam, mu, x / y, nc)
+
+    for l, lam in enumerate(sk.parts):
+        got = planned(sk.diag, sk.diag_bounds, l)
+        assert got == wrap(nek_sinh(0, N, lam, lam, one, nc))
+        assert got == box(2 * M, lam, lam) == box(3 * M - 1, lam, lam)
+    for s in range(N * P):
+        p, lam = s // P, sk.parts[s % P]
+        assert planned(sk.num, sk.num_bounds, s) == prod(
+            (box(i * N + p, (), lam) * box(M + p * N + i, lam, ())
+             for i in range(N)), start=one)
+    for t, tup in enumerate(enumerate_tuples(N, cap)):
+        assert [divmod(s, P) for s in sk.slots[N * t:N * (t + 1)]] == \
+            [(p, sk.parts.index(lam)) for p, lam in enumerate(tup)]
+        assert planned(sk.off, sk.off_bounds, t) == prod(
+            (box(2 * M + i * N + j, tup[i], tup[j])
+             for i in range(N) for j in range(N) if i != j), start=one)
+    assert len(sk.off_bounds) == t + 2
 
 
 @pytest.mark.parametrize("N,cap", [(2, 6), (3, 4)])
 def test_one_nek_sinh_call_per_distinct_factor(N, cap, monkeypatch):
-    # the calls are the distinct (argument, lam, mu) of the sum: role and
-    # slot pair, then the two partitions
+    # nek_sinh makes the diagonal vector-multiplet factors only, one call
+    # per partition on (0, lam, lam); every other product reads its plan
     calls = []
     nek = nekrasov.nek_sinh
 
@@ -570,15 +620,8 @@ def test_one_nek_sinh_call_per_distinct_factor(N, cap, monkeypatch):
 
     monkeypatch.setattr(nekrasov, "nek_sinh", counted)
     laumon_partition_function(random_lp(6, N, "prime"), cap, "sinh")
-    distinct = set()
-    for tup in enumerate_tuples(N, cap):
-        for i in range(N):
-            for j in range(N):
-                distinct.add(("n1", i, j, (), tup[j]))
-                distinct.add(("n2", i, j, tup[i], ()))
-                distinct.add(("dd", i, j, tup[i], tup[j]))
-    assert Counter(calls) == Counter(((j - i) % N, lam, mu)
-                                     for _, i, j, lam, mu in distinct)
+    assert Counter(calls) == Counter((0, lam, lam)
+                                     for lam in partitions_up_to(cap))
 
 
 @pytest.mark.parametrize("N,cap", [(2, 8), (3, 6)])
@@ -597,6 +640,6 @@ def test_prime_build_inverts_per_argument_not_per_tuple(N, cap, monkeypatch):
     monkeypatch.setattr(scalars, "pow", counted_pow, raising=False)
     laumon_partition_function(lp, cap, "sinh")
     tuples = sum(1 for _ in enumerate_tuples(N, cap))
-    # 3 N^2 argument ratios and batches, one batch over the tuples, and
-    # the inverses of sqrt_q and sqrt_kappa, each taken once
+    # 3 N^2 argument ratios and batches, one batch over the diagonals and
+    # the tuples, and the inverses of sqrt_q and sqrt_kappa, each taken once
     assert len(inversions) <= 6 * N * N + 3 < tuples // 3
